@@ -24,13 +24,15 @@ The on-disk format is a single JSON document::
 
 Times are microseconds, lengths micrometers, speeds micrometers per
 microsecond. Qubit coordinates are screen-space (x column, y row, origin at
-the top-left corner). ``excitementFidelity`` is optional and defaults to 1.0.
+the top-left corner). Every number must be finite; ``NaN`` and ``Infinity``
+are rejected. ``excitementFidelity`` is optional and defaults to 1.0.
 Unknown keys are ignored with a warning so newer documents stay readable.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -104,7 +106,13 @@ def _as_int(value, path: str) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidValue("expected a number", path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidValue(f"expected a finite number, got {number}", path)
+    return number
 
 
 def _as_fidelity(value, path: str) -> float:

@@ -18,8 +18,7 @@ import sys
 
 from . import __version__, grid, normalize
 from .arch import ArchitectureSpec, parse_architecture
-from .errors import EvalKitError
-from .evaluator import FidelityBreakdown
+from .errors import EvalKitError, IllegalStage
 from .models import Model, WhatIfInput, evaluate_model, whatif_collapse
 from .rsqasm import Program, parse_program, serialize_program
 
@@ -111,56 +110,56 @@ def _load(circuit_path: str, arch_path: str) -> tuple[Program, ArchitectureSpec]
     return program, spec
 
 
-def _breakdown_row(b: FidelityBreakdown) -> dict:
-    return {
-        "f_decoherence": b.f_decoherence,
-        "f_gates": b.f_gates,
-        "f_movements": b.f_movements,
-        "asp": b.asp,
-        "t_total_us": b.t_total_us,
-        "t_idle_us": b.t_idle_us,
-        "gate_count": b.gate_count,
-        "one_qubit_gate_count": b.one_qubit_gate_count,
-        "two_qubit_gate_count": b.two_qubit_gate_count,
-        "move_count": b.move_count,
-        "stage_count": b.stage_count,
-        "total_move_distance_cells": b.total_move_distance_cells,
-    }
+def _fields(obj, columns: list[tuple[str, str]]) -> dict:
+    return {name: getattr(obj, name) for name, _ in columns}
 
 
 def cmd_validate(args) -> int:
     program, spec = _load(args.circuit, args.arch)
-    state = grid.initial_state(spec)
+    occupancy = grid.initial_state(spec).occupancy
     failures = 0
     for index, stage in enumerate(program.stages):
-        diagnosis = grid.validate_stage(state, stage, args.interaction_radius)
+        try:
+            diagnosis = grid.advance(
+                occupancy, spec.grid_side, stage, index, args.interaction_radius
+            )
+        except IllegalStage as exc:
+            diagnosis = exc.diagnosis
         for warning in diagnosis.warnings:
             print(f"warning: stage {index}: {warning}", file=sys.stderr)
         if not diagnosis.legal:
             print(f"error[IllegalStage]: stage {index}: {diagnosis}", file=sys.stderr)
             failures += 1
-            continue
-        state = grid.apply_stage(state, stage, index)
     if failures:
         return 2
-    print(f"ok: {len(program.stages)} stage(s), {len(state.occupancy)} atom(s)")
+    print(f"ok: {len(program.stages)} stage(s), {len(occupancy)} atom(s)")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     program, spec = _load(args.circuit, args.arch)
     breakdown = evaluate_model(program, spec, args.model)
-    row = {"model": breakdown.model, **_breakdown_row(breakdown)}
+    metrics = _fields(breakdown, _METRIC_COLUMNS)
+    row = {"model": breakdown.model, **metrics}
     report = {
         "tool": TOOL,
         "version": __version__,
         "model": breakdown.model,
         "circuit": args.circuit,
         "architecture": args.arch,
-        **_breakdown_row(breakdown),
+        **metrics,
     }
     _emit(report, [("model", "str")] + _METRIC_COLUMNS, [row], args.format)
     return 0
+
+
+_NORMALIZE_COLUMNS = [
+    ("moves_before", "int"),
+    ("moves_after", "int"),
+    ("distance_before_cells", "number"),
+    ("distance_after_cells", "number"),
+    ("saved_distance_cells", "number"),
+]
 
 
 def cmd_normalize(args) -> int:
@@ -169,37 +168,19 @@ def cmd_normalize(args) -> int:
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(serialize_program(collapsed))
-    row = {
-        "moves_before": rep.moves_before,
-        "moves_after": rep.moves_after,
-        "distance_before_cells": rep.distance_before_cells,
-        "distance_after_cells": rep.distance_after_cells,
-        "saved_distance_cells": rep.saved_distance_cells,
-        "rewrites": len(rep.rewrites_applied),
-    }
+    fields = _fields(rep, _NORMALIZE_COLUMNS)
+    row = {**fields, "rewrites": len(rep.rewrites_applied)}
     report = {
         "tool": TOOL,
         "version": __version__,
         "circuit": args.circuit,
         "architecture": args.arch,
-        "moves_before": rep.moves_before,
-        "moves_after": rep.moves_after,
-        "distance_before_cells": rep.distance_before_cells,
-        "distance_after_cells": rep.distance_after_cells,
-        "saved_distance_cells": rep.saved_distance_cells,
+        **fields,
         "rewrites_applied": [
             {"rule": ev.rule, "stages": list(ev.stages)} for ev in rep.rewrites_applied
         ],
     }
-    columns = [
-        ("moves_before", "int"),
-        ("moves_after", "int"),
-        ("distance_before_cells", "number"),
-        ("distance_after_cells", "number"),
-        ("saved_distance_cells", "number"),
-        ("rewrites", "int"),
-    ]
-    _emit(report, columns, [row], args.format)
+    _emit(report, _NORMALIZE_COLUMNS + [("rewrites", "int")], [row], args.format)
     return 0
 
 
@@ -211,7 +192,7 @@ def cmd_compare(args) -> int:
         try:
             program = parse_program(_read(path))
             breakdown = evaluate_model(program, spec, args.model)
-            rows.append({"circuit": path, **_breakdown_row(breakdown), "error": None})
+            rows.append({"circuit": path, **_fields(breakdown, _METRIC_COLUMNS), "error": None})
         except EvalKitError as exc:
             failed = True
             rows.append({"circuit": path, "error": f"{exc.code}: {exc}"})
@@ -227,6 +208,15 @@ def cmd_compare(args) -> int:
     return 2 if failed else 0
 
 
+_WHATIF_COLUMNS = [
+    ("delta_t_move_us", "number"),
+    ("delta_t_idle_us", "number"),
+    ("t_idle_new_us", "number"),
+    ("f_decoherence", "percent"),
+    ("f_movements", "percent"),
+]
+
+
 def cmd_whatif(args) -> int:
     spec = parse_architecture(_read(args.arch))
     result = whatif_collapse(
@@ -239,22 +229,9 @@ def cmd_whatif(args) -> int:
         ),
         spec,
     )
-    row = {
-        "delta_t_move_us": result.delta_t_move_us,
-        "delta_t_idle_us": result.delta_t_idle_us,
-        "t_idle_new_us": result.t_idle_new_us,
-        "f_decoherence": result.f_decoherence,
-        "f_movements": result.f_movements,
-    }
+    row = _fields(result, _WHATIF_COLUMNS)
     report = {"tool": TOOL, "version": __version__, "architecture": args.arch, **row}
-    columns = [
-        ("delta_t_move_us", "number"),
-        ("delta_t_idle_us", "number"),
-        ("t_idle_new_us", "number"),
-        ("f_decoherence", "percent"),
-        ("f_movements", "percent"),
-    ]
-    _emit(report, columns, [row], args.format)
+    _emit(report, _WHATIF_COLUMNS, [row], args.format)
     return 0
 
 

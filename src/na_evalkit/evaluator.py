@@ -27,11 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from . import grid
 from .arch import ArchitectureSpec, effective_coherence_time
 from .errors import NegativeIdleTime, UnknownGate
-from .rsqasm import Gate, Instruction, Move, Program
+from .rsqasm import Instruction, Move, Program
 
 UNIFIED = "unified"
 
@@ -46,6 +47,14 @@ class StageKind(Enum):
 class StageTiming:
     duration_us: float
     kind: StageKind
+
+
+# (has a gate, has a move) -> kind
+_KINDS = {
+    (True, False): StageKind.GATE,
+    (False, True): StageKind.MOVE,
+    (True, True): StageKind.MIXED,
+}
 
 
 @dataclass(frozen=True)
@@ -69,49 +78,120 @@ class FidelityBreakdown:
 
 
 @dataclass(frozen=True)
-class GateFact:
-    name: str
-    atoms: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class StageFacts:
-    """Model-independent facts about one stage of a legal execution."""
-
-    gates: tuple[GateFact, ...]
-    move_distances_cells: tuple[float, ...]
-
-    @property
-    def kind(self) -> StageKind:
-        if self.gates and self.move_distances_cells:
-            return StageKind.MIXED
-        return StageKind.GATE if self.gates else StageKind.MOVE
-
-
-@dataclass(frozen=True)
 class ProgramTrace:
-    stages: tuple[StageFacts, ...]
+    """Everything the four models read from one legal execution.
+
+    :func:`trace_program` fills it in a single pass that checks each stage
+    once. ``stages`` holds, per stage, the longest gate duration (us) and
+    the longest move distance (cells), each None when the stage has no such
+    operation. Sums and the product run in program order: ``gate_time_us``
+    and ``f_gates`` over gates, ``move_distance_cells`` over stages of
+    per-stage sums. ``busy_us`` is the time each atom spent inside gates: a
+    two-qubit gate counts its full duration toward both participants, and
+    movement never counts.
+    """
+
+    stages: tuple[tuple[float | None, float | None], ...]
+    one_qubit_gates: int
+    two_qubit_gates: int
+    cz_gates: int
+    gate_time_us: float
+    f_gates: float
+    move_count: int
+    move_distance_cells: float
+    busy_us: dict[int, float]
     final_state: grid.GridState
+
+    def stage_durations(self, move_time: Callable[[float], float]) -> list[float]:
+        """Per-stage run time: the slower of the longest gate and the longest
+        move. ``move_time`` maps a distance in cells to a duration and must be
+        non-decreasing, so that the longest move is also the slowest."""
+        durations = []
+        for gate_us, move_cells in self.stages:
+            if move_cells is None:
+                durations.append(gate_us)
+            elif gate_us is None:
+                durations.append(move_time(move_cells))
+            else:
+                durations.append(max(gate_us, move_time(move_cells)))
+        return durations
+
+    def breakdown(
+        self, model: str, *, f_decoherence: float, f_gates: float, f_movements: float,
+        t_total_us: float, t_idle_us: float,
+    ) -> FidelityBreakdown:
+        """A model's breakdown, with the counts that every model shares."""
+        return FidelityBreakdown(
+            model=model,
+            f_decoherence=f_decoherence,
+            f_gates=f_gates,
+            f_movements=f_movements,
+            asp=f_decoherence * f_gates * f_movements,
+            t_total_us=t_total_us,
+            t_idle_us=t_idle_us,
+            gate_count=self.one_qubit_gates + self.two_qubit_gates,
+            one_qubit_gate_count=self.one_qubit_gates,
+            two_qubit_gate_count=self.two_qubit_gates,
+            move_count=self.move_count,
+            total_move_distance_cells=self.move_distance_cells,
+            stage_count=len(self.stages),
+            busy_us=self.busy_us,
+        )
 
 
 def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
-    """Simulate a program, collecting which atoms each gate touched and how
-    far each move traveled. Raises IllegalStage on the first illegal stage."""
-    state = grid.initial_state(spec)
-    stages: list[StageFacts] = []
+    """Simulate a program once and summarize it for the models.
+
+    Raises IllegalStage on the first illegal stage, and UnknownGate for a
+    gate without a configured duration or fidelity.
+    """
+    side = spec.grid_side
+    occupancy = grid.initial_state(spec).occupancy
+    busy = {q.id: 0.0 for q in spec.qubits}
+    stages: list[tuple[float | None, float | None]] = []
+    g1 = g2 = cz = move_count = 0
+    gate_time = move_distance = 0.0
+    f_gates = 1.0
     for index, stage in enumerate(program.stages):
-        gates: list[GateFact] = []
-        moves: list[float] = []
-        next_state = grid.apply_stage(state, stage, index)
+        grid.advance(occupancy, side, stage, index)
+        # no gate shares a cell with a move, so each gate's atoms stay put
+        longest_gate = longest_move = None
+        stage_distance = 0.0
         for op in stage.ops:
-            if isinstance(op, Gate):
-                atoms = tuple(state.occupancy[c] for c in op.operands)
-                gates.append(GateFact(op.name, atoms))
+            if isinstance(op, Move):
+                distance = grid.cell_distance(op.src, op.dst, side)
+                stage_distance += distance
+                move_count += 1
+                if longest_move is None or distance > longest_move:
+                    longest_move = distance
+                continue
+            duration = gate_duration(op.name, spec)
+            gate_time += duration
+            f_gates *= gate_fidelity(op.name, spec)
+            if longest_gate is None or duration > longest_gate:
+                longest_gate = duration
+            if len(op.operands) == 2:
+                g2 += 1
             else:
-                moves.append(grid.cell_distance(op.src, op.dst, state.side))
-        stages.append(StageFacts(tuple(gates), tuple(moves)))
-        state = next_state
-    return ProgramTrace(tuple(stages), state)
+                g1 += 1
+            if op.name == "cz":
+                cz += 1
+            for cell in op.operands:
+                busy[occupancy[cell]] += duration
+        move_distance += stage_distance
+        stages.append((longest_gate, longest_move))
+    return ProgramTrace(
+        stages=tuple(stages),
+        one_qubit_gates=g1,
+        two_qubit_gates=g2,
+        cz_gates=cz,
+        gate_time_us=gate_time,
+        f_gates=f_gates,
+        move_count=move_count,
+        move_distance_cells=move_distance,
+        busy_us=busy,
+        final_state=grid.GridState(side, occupancy),
+    )
 
 
 def gate_duration(name: str, spec: ArchitectureSpec) -> float:
@@ -142,19 +222,17 @@ def instruction_duration(instruction: Instruction, spec: ArchitectureSpec) -> fl
     return gate_duration(instruction.name, spec)
 
 
-def _stage_duration(facts: StageFacts, spec: ArchitectureSpec) -> float:
-    durations = [gate_duration(g.name, spec) for g in facts.gates]
-    durations += [move_duration(d, spec) for d in facts.move_distances_cells]
-    return max(durations)
-
-
 def total_runtime(program: Program, spec: ArchitectureSpec) -> tuple[float, list[StageTiming]]:
     """Total run time and per-stage timings under the unified duration model.
 
     The program must be legal under grid simulation; IllegalStage propagates.
     """
     trace = trace_program(program, spec)
-    timings = [StageTiming(_stage_duration(f, spec), f.kind) for f in trace.stages]
+    durations = trace.stage_durations(lambda cells: move_duration(cells, spec))
+    timings = [
+        StageTiming(duration, _KINDS[gate_us is not None, move_cells is not None])
+        for duration, (gate_us, move_cells) in zip(durations, trace.stages)
+    ]
     return sum(t.duration_us for t in timings), timings
 
 
@@ -170,61 +248,19 @@ def movement_fidelity(move_count: int, transfer_fidelity: float) -> float:
     return transfer_fidelity ** (2 * move_count)
 
 
-def busy_times(trace: ProgramTrace, spec: ArchitectureSpec) -> dict[int, float]:
-    """Per-atom time spent executing gates, in microseconds.
-
-    A two-qubit gate counts its full duration toward both participants;
-    movement never counts (only gate participation is busy time).
-    """
-    busy = {q.id: 0.0 for q in spec.qubits}
-    for facts in trace.stages:
-        for g in facts.gates:
-            dur = gate_duration(g.name, spec)
-            for atom in g.atoms:
-                busy[atom] += dur
-    return busy
-
-
 def evaluate_unified(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
     """Evaluate the unified model; see the module docstring for the formulas."""
     trace = trace_program(program, spec)
-    n = spec.qubit_count
-
+    # a plain running sum; the built-in sum() compensates rounding from 3.12 on
     t_total = 0.0
-    gate_time_sum = 0.0
-    f_gates = 1.0
-    g1 = g2 = 0
-    move_count = 0
-    move_distance = 0.0
-    for facts in trace.stages:
-        t_total += _stage_duration(facts, spec)
-        for g in facts.gates:
-            gate_time_sum += gate_duration(g.name, spec)
-            f_gates *= gate_fidelity(g.name, spec)
-            if len(g.atoms) == 2:
-                g2 += 1
-            else:
-                g1 += 1
-        move_count += len(facts.move_distances_cells)
-        move_distance += sum(facts.move_distances_cells)
-
-    t_idle = n * t_total - gate_time_sum
-    f_decoherence = decoherence_fidelity(t_idle, effective_coherence_time(spec))
-    f_movements = movement_fidelity(move_count, spec.transfer_fidelity)
-
-    return FidelityBreakdown(
-        model=UNIFIED,
-        f_decoherence=f_decoherence,
-        f_gates=f_gates,
-        f_movements=f_movements,
-        asp=f_decoherence * f_gates * f_movements,
+    for duration in trace.stage_durations(lambda cells: move_duration(cells, spec)):
+        t_total += duration
+    t_idle = spec.qubit_count * t_total - trace.gate_time_us
+    return trace.breakdown(
+        UNIFIED,
+        f_decoherence=decoherence_fidelity(t_idle, effective_coherence_time(spec)),
+        f_gates=trace.f_gates,
+        f_movements=movement_fidelity(trace.move_count, spec.transfer_fidelity),
         t_total_us=t_total,
         t_idle_us=t_idle,
-        gate_count=g1 + g2,
-        one_qubit_gate_count=g1,
-        two_qubit_gate_count=g2,
-        move_count=move_count,
-        total_move_distance_cells=move_distance,
-        stage_count=len(trace.stages),
-        busy_us=busy_times(trace, spec),
     )

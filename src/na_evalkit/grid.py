@@ -1,8 +1,11 @@
 """Square-grid occupancy tracking: stage legality and geometric distances.
 
 Cells are indexed row-major from the top-left corner, ``cell = y * side + x``.
-States are values; applying a stage returns a new state, so independent
-circuits can be processed concurrently.
+States are values: ``apply_stage`` and ``simulate`` copy the occupancy of
+their input once, run every stage on that private copy through
+:func:`advance`, and return a new state, so independent circuits can be
+processed concurrently. Only callers that own an occupancy map pass it to
+``advance`` directly.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ class ViolationKind(Enum):
     MOVE_FROM_EMPTY_CELL = "MoveFromEmptyCell"
     MOVE_TO_OCCUPIED_CELL = "MoveToOccupiedCell"
     CELL_OUT_OF_RANGE = "CellOutOfRange"
-    DUPLICATE_CELL = "DuplicateCellInStage"
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,6 @@ class GridState:
     def cell_count(self) -> int:
         return self.side * self.side
 
-    def atom_at(self, cell: int) -> int | None:
-        return self.occupancy.get(cell)
-
     def atom_cells(self) -> dict[int, int]:
         """Inverse view: atom id -> cell index."""
         return {atom: cell for cell, atom in self.occupancy.items()}
@@ -98,26 +97,23 @@ def validate_stage(
     """Check a stage against the occupancy at its start.
 
     Legal iff every gate operand cell holds an atom, every move source
-    holds an atom, every move target is an empty trap, all cells are in
-    range, and no cell is shared between instructions. When
-    ``interaction_radius`` is given (cell units), two-qubit gates spanning a
-    larger distance produce an advisory warning, never a violation.
+    holds an atom, every move target is an empty trap, and all cells are in
+    range; a :class:`Stage` shares no cell between instructions by
+    construction. When ``interaction_radius`` is given (cell units),
+    two-qubit gates spanning a larger distance produce an advisory warning,
+    never a violation.
     """
     violations: list[Violation] = []
     warnings: list[str] = []
     occupied = state.occupancy
     limit = state.cell_count
 
-    seen: set[int] = set()
     for i, op in enumerate(stage.ops):
         in_range = True
         for cell in op.cells:
             if cell >= limit:
                 violations.append(Violation(ViolationKind.CELL_OUT_OF_RANGE, i, cell))
                 in_range = False
-            if cell in seen:
-                violations.append(Violation(ViolationKind.DUPLICATE_CELL, i, cell))
-            seen.add(cell)
         if not in_range:
             continue
         if isinstance(op, Gate):
@@ -143,24 +139,47 @@ def validate_stage(
     return StageDiagnosis(tuple(violations), tuple(warnings))
 
 
+def advance(
+    occupancy: dict[int, int],
+    side: int,
+    stage: Stage,
+    stage_index: int | None = None,
+    interaction_radius: float | None = None,
+) -> StageDiagnosis:
+    """Check a stage once and apply its moves to ``occupancy`` in place.
+
+    Moves act simultaneously against the stage-start occupancy; since no
+    two instructions of a stage share a cell, applying them one by one is
+    equivalent. Returns the diagnosis of a legal stage (its warnings may
+    be nonempty). Raises :class:`IllegalStage` carrying the diagnosis, with
+    ``occupancy`` untouched, when the stage is not legal.
+    """
+    diagnosis = validate_stage(GridState(side, occupancy), stage, interaction_radius)
+    if not diagnosis.legal:
+        raise IllegalStage(str(diagnosis), diagnosis, stage_index)
+    for op in stage.ops:
+        if isinstance(op, Move):
+            occupancy[op.dst] = occupancy.pop(op.src)
+    return diagnosis
+
+
 def apply_stage(state: GridState, stage: Stage, stage_index: int | None = None) -> GridState:
-    """Apply all moves simultaneously against the stage-start occupancy.
+    """The state after one stage; ``state`` itself is left unchanged.
 
     Gates leave occupancy untouched. Raises :class:`IllegalStage` carrying
     the diagnosis when the stage is not legal.
     """
-    diagnosis = validate_stage(state, stage)
-    if not diagnosis.legal:
-        raise IllegalStage(str(diagnosis), diagnosis, stage_index)
     occupancy = dict(state.occupancy)
-    for op in stage.ops:
-        if isinstance(op, Move):
-            occupancy[op.dst] = occupancy.pop(op.src)
+    advance(occupancy, state.side, stage, stage_index)
     return GridState(state.side, occupancy)
 
 
 def simulate(state: GridState, program: Program) -> GridState:
-    """Run a whole program, returning the final state (or raising IllegalStage)."""
+    """Run a whole program, returning the final state (or raising IllegalStage).
+
+    ``state`` itself is left unchanged; its occupancy is copied once.
+    """
+    occupancy = dict(state.occupancy)
     for index, stage in enumerate(program.stages):
-        state = apply_stage(state, stage, index)
-    return state
+        advance(occupancy, state.side, stage, index)
+    return GridState(state.side, occupancy)

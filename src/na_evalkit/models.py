@@ -25,7 +25,7 @@ differ in accounting:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -33,8 +33,6 @@ from .arch import ArchitectureSpec, effective_coherence_time
 from .errors import CoherenceBudgetExceeded, InvalidInput
 from .evaluator import (
     FidelityBreakdown,
-    ProgramTrace,
-    busy_times,
     decoherence_fidelity,
     evaluate_unified,
     gate_duration,
@@ -52,35 +50,6 @@ class Model(str, Enum):
     ENOLA = "enola"
 
 
-@dataclass(frozen=True)
-class _CircuitStats:
-    g1: int
-    g2: int
-    cz_count: int
-    move_count: int
-    move_distance_cells: float
-    gate_bearing_stages: int
-
-
-def _stats(trace: ProgramTrace) -> _CircuitStats:
-    g1 = g2 = cz = moves = 0
-    distance = 0.0
-    gate_stages = 0
-    for facts in trace.stages:
-        if facts.gates:
-            gate_stages += 1
-        for g in facts.gates:
-            if len(g.atoms) == 2:
-                g2 += 1
-            else:
-                g1 += 1
-            if g.name == "cz":
-                cz += 1
-        moves += len(facts.move_distances_cells)
-        distance += sum(facts.move_distances_cells)
-    return _CircuitStats(g1, g2, cz, moves, distance, gate_stages)
-
-
 def evaluate_hybridmapper(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
     """Exponential decoherence over t_eff with transfers treated as operations.
 
@@ -92,21 +61,12 @@ def evaluate_hybridmapper(program: Program, spec: ArchitectureSpec) -> FidelityB
     transfer_time_sum = 2.0 * spec.aod_transfer_time * base.move_count
     t_idle = base.t_idle_us - transfer_time_sum
     f_decoherence = decoherence_fidelity(t_idle, effective_coherence_time(spec))
-    return FidelityBreakdown(
+    return replace(
+        base,
         model=Model.HYBRIDMAPPER.value,
         f_decoherence=f_decoherence,
-        f_gates=base.f_gates,
-        f_movements=base.f_movements,
         asp=f_decoherence * base.f_gates * base.f_movements,
-        t_total_us=base.t_total_us,
         t_idle_us=t_idle,
-        gate_count=base.gate_count,
-        one_qubit_gate_count=base.one_qubit_gate_count,
-        two_qubit_gate_count=base.two_qubit_gate_count,
-        move_count=base.move_count,
-        total_move_distance_cells=base.total_move_distance_cells,
-        stage_count=base.stage_count,
-        busy_us=base.busy_us,
     )
 
 
@@ -121,38 +81,23 @@ def evaluate_dasatom(program: Program, spec: ArchitectureSpec) -> FidelityBreakd
     t_idle = n*T - m*t_cz.
     """
     trace = trace_program(program, spec)
-    stats = _stats(trace)
-    n = spec.qubit_count
     t_cz = gate_duration("cz", spec)
     f_cz = gate_fidelity("cz", spec)
 
-    s = 2 * stats.move_count
+    s = 2 * trace.move_count
+    gate_stages = sum(1 for gate_us, _ in trace.stages if gate_us is not None)
     d_um = sum(
-        max(facts.move_distances_cells) * spec.inter_qubit_distance
-        for facts in trace.stages
-        if facts.move_distances_cells
+        cells * spec.inter_qubit_distance for _, cells in trace.stages if cells is not None
     )
-    t_total = stats.gate_bearing_stages * t_cz + s * spec.aod_transfer_time + d_um / spec.move_speed
-    t_idle = n * t_total - stats.cz_count * t_cz
-
-    f_decoherence = decoherence_fidelity(t_idle, spec.t2)
-    f_gates = f_cz ** stats.cz_count
-    f_movements = spec.transfer_fidelity ** s
-    return FidelityBreakdown(
-        model=Model.DASATOM.value,
-        f_decoherence=f_decoherence,
-        f_gates=f_gates,
-        f_movements=f_movements,
-        asp=f_decoherence * f_gates * f_movements,
+    t_total = gate_stages * t_cz + s * spec.aod_transfer_time + d_um / spec.move_speed
+    t_idle = spec.qubit_count * t_total - trace.cz_gates * t_cz
+    return trace.breakdown(
+        Model.DASATOM.value,
+        f_decoherence=decoherence_fidelity(t_idle, spec.t2),
+        f_gates=f_cz**trace.cz_gates,
+        f_movements=movement_fidelity(trace.move_count, spec.transfer_fidelity),
         t_total_us=t_total,
         t_idle_us=t_idle,
-        gate_count=stats.g1 + stats.g2,
-        one_qubit_gate_count=stats.g1,
-        two_qubit_gate_count=stats.g2,
-        move_count=stats.move_count,
-        total_move_distance_cells=stats.move_distance_cells,
-        stage_count=len(trace.stages),
-        busy_us=busy_times(trace, spec),
     )
 
 
@@ -173,29 +118,24 @@ def evaluate_enola(
     with one-qubit gate fidelity forced to 1, S the stage count, s the
     transfer count (2 per move), and T_q the idle time of atom q: total run
     time minus the time q spent inside gates. Moves last
-    ``2*aod_transfer_time + travel_time(distance_um, spec)``.
+    ``2*aod_transfer_time + travel_time(distance_um, spec)``; ``travel_time``
+    must be non-decreasing in the distance, because a stage is timed by its
+    longest move.
 
     Raises CoherenceBudgetExceeded when any factor 1 - T_q/t2 drops to or
     below zero, where the first-order approximation stops being meaningful.
     """
     trace = trace_program(program, spec)
-    stats = _stats(trace)
-    n = spec.qubit_count
-
     t_total = 0.0
-    for facts in trace.stages:
-        durations = [gate_duration(g.name, spec) for g in facts.gates]
-        durations += [
-            2.0 * spec.aod_transfer_time
-            + travel_time(d * spec.inter_qubit_distance, spec)
-            for d in facts.move_distances_cells
-        ]
-        t_total += max(durations)
+    for duration in trace.stage_durations(
+        lambda cells: 2.0 * spec.aod_transfer_time
+        + travel_time(cells * spec.inter_qubit_distance, spec)
+    ):
+        t_total += duration
 
-    busy = busy_times(trace, spec)
     idle_factors = []
     t_idle = 0.0
-    for atom, busy_us in busy.items():
+    for atom, busy_us in trace.busy_us.items():
         t_q = t_total - busy_us
         factor = 1.0 - t_q / spec.t2
         if factor <= 0.0:
@@ -205,27 +145,16 @@ def evaluate_enola(
         idle_factors.append(factor)
         t_idle += t_q
 
-    s = 2 * stats.move_count
-    exposure_exponent = n * len(trace.stages) - 2 * stats.g2
+    g2 = trace.two_qubit_gates
+    exposure_exponent = spec.qubit_count * len(trace.stages) - 2 * g2
     f_cz = gate_fidelity("cz", spec)
-    f_decoherence = math.prod(idle_factors)
-    f_gates = f_cz**stats.g2 * spec.excitement_fidelity**exposure_exponent
-    f_movements = spec.transfer_fidelity**s
-    return FidelityBreakdown(
-        model=Model.ENOLA.value,
-        f_decoherence=f_decoherence,
-        f_gates=f_gates,
-        f_movements=f_movements,
-        asp=f_decoherence * f_gates * f_movements,
+    return trace.breakdown(
+        Model.ENOLA.value,
+        f_decoherence=math.prod(idle_factors),
+        f_gates=f_cz**g2 * spec.excitement_fidelity**exposure_exponent,
+        f_movements=movement_fidelity(trace.move_count, spec.transfer_fidelity),
         t_total_us=t_total,
         t_idle_us=t_idle,
-        gate_count=stats.g1 + stats.g2,
-        one_qubit_gate_count=stats.g1,
-        two_qubit_gate_count=stats.g2,
-        move_count=stats.move_count,
-        total_move_distance_cells=stats.move_distance_cells,
-        stage_count=len(trace.stages),
-        busy_us=busy,
     )
 
 

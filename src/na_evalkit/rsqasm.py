@@ -29,6 +29,7 @@ from .errors import (
     DuplicateCellInStage,
     MissingHeader,
     ParamError,
+    RsqasmError,
     RsqasmSyntaxError,
     UnknownInstruction,
     UnsupportedVersion,
@@ -116,10 +117,6 @@ class Stage:
                     )
                 seen.add(cell)
 
-    @property
-    def cells(self) -> frozenset[int]:
-        return frozenset(c for op in self.ops for c in op.cells)
-
 
 @dataclass(frozen=True)
 class Program:
@@ -132,10 +129,6 @@ class Program:
     def __post_init__(self):
         if self.version_major != 1:
             raise UnsupportedVersion(f"unsupported major version {self.version_major}")
-
-    @property
-    def move_count(self) -> int:
-        return sum(1 for st in self.stages for op in st.ops if isinstance(op, Move))
 
 
 _HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;[ \t]*$")
@@ -213,6 +206,14 @@ def _parse_operand_list(sc: _LineScanner) -> list[int]:
     return operands
 
 
+def _located(line: int, column: int, build, *args):
+    """Call a constructor, re-raising its RsqasmError at the given position."""
+    try:
+        return build(*args)
+    except RsqasmError as exc:
+        raise type(exc)(str(exc), line, column) from None
+
+
 def _parse_instruction(sc: _LineScanner) -> Instruction:
     sc.skip_ws()
     col = sc.column
@@ -226,11 +227,7 @@ def _parse_instruction(sc: _LineScanner) -> Instruction:
         sc.expect_char(";", "';'")
         if len(operands) != 2:
             raise ArityError(f"move takes 2 operands, got {len(operands)}", sc.line, col)
-        if operands[0] == operands[1]:
-            raise DuplicateCellInStage(
-                f"move with identical source and target cell {operands[0]}", sc.line, col
-            )
-        return Move(operands[0], operands[1])
+        return _located(sc.line, col, Move, operands[0], operands[1])
 
     if name not in NATIVE_GATES:
         raise UnknownInstruction(f"unknown instruction {name!r}", sc.line, col)
@@ -246,40 +243,23 @@ def _parse_instruction(sc: _LineScanner) -> Instruction:
         sc.skip_ws()
         sc.expect_char(")", "')'")
         params = (float(num),)
-    if name in ONE_PARAM_GATES and not params:
-        raise ParamError(f"{name} requires one rotation angle", sc.line, col)
-    if name not in ONE_PARAM_GATES and params:
-        raise ParamError(f"{name} takes no parameters", sc.line, col)
 
     operands = _parse_operand_list(sc)
     sc.skip_ws()
     sc.expect_char(";", "';'")
-    if len(operands) != gate_arity(name):
-        raise ArityError(
-            f"{name} takes {gate_arity(name)} operand(s), got {len(operands)}", sc.line, col
-        )
-    return Gate(name, params, tuple(operands))
+    return _located(sc.line, col, Gate, name, params, tuple(operands))
 
 
 def _parse_stage_line(text: str, line_no: int) -> Stage:
     sc = _LineScanner(text, line_no)
     ops: list[Instruction] = []
-    positions: list[int] = []
     sc.skip_ws()
+    start = sc.column
     while not sc.at_end():
-        positions.append(sc.column)
         ops.append(_parse_instruction(sc))
         sc.skip_ws()
-    # stage-level disjointness, reported at the offending instruction
-    seen: dict[int, int] = {}
-    for op, col in zip(ops, positions):
-        for cell in op.cells:
-            if cell in seen:
-                raise DuplicateCellInStage(
-                    f"cell {cell} already used in this stage", line_no, col
-                )
-            seen[cell] = col
-    return Stage(tuple(ops))
+    # a cell shared between instructions is reported where the stage starts
+    return _located(line_no, start, Stage, tuple(ops))
 
 
 def _is_comment(line: str) -> bool:

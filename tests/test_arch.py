@@ -112,6 +112,11 @@ def test_out_of_grid_placement_rejected():
         (("parameters", "decoherenceTimes", "t2"), -5, InvalidValue),
         (("parameters", "shuttlingFidelities", "aod_activate_deactivate"), 1.5, InvalidValue),
         (("parameters", "shuttlingFidelities", "aod_activate_deactivate"), 0.0, InvalidValue),
+        (("parameters", "gateTimes", "cz"), float("nan"), InvalidValue),
+        (("parameters", "shuttlingTimesSpeed", "move_speed"), float("nan"), InvalidValue),
+        (("parameters", "decoherenceTimes", "t1"), float("inf"), InvalidValue),
+        (("parameters", "decoherenceTimes", "t2"), float("inf"), InvalidValue),
+        (("properties", "interQubitDistance"), float("inf"), InvalidValue),
     ],
 )
 def test_bounds_violations(path, value, error):
@@ -122,6 +127,14 @@ def test_bounds_violations(path, value, error):
         target[path[-1]] = value
 
     with pytest.raises(error):
+        parse_architecture(_doc(poke))
+
+
+def test_integer_beyond_float_range_rejected():
+    def poke(doc):
+        doc["parameters"]["decoherenceTimes"]["t1"] = 10**400
+
+    with pytest.raises(InvalidValue, match=r"decoherenceTimes\.t1"):
         parse_architecture(_doc(poke))
 
 

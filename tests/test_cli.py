@@ -128,6 +128,15 @@ def test_evaluate_domain_error_exit_two(files, tmp_path, capsys):
     assert "CoherenceBudgetExceeded" in capsys.readouterr().err
 
 
+def test_non_finite_hardware_number_is_domain_error(files, tmp_path, capsys):
+    arch = tmp_path / "nan.json"
+    arch.write_text(arch_document(cz_time=float("nan")))
+    assert main(["evaluate", files["circuit"], str(arch), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out
+    assert "InvalidValue" in captured.err and "gateTimes.cz" in captured.err
+
+
 def test_table_row_percent_formatting():
     columns = [
         ("f_decoherence", "percent"), ("f_gates", "percent"),

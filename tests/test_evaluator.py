@@ -9,7 +9,10 @@ from na_evalkit import (
     Move,
     Program,
     apply_stage,
+    cell_distance,
     effective_coherence_time,
+    evaluate_dasatom,
+    evaluate_enola,
     evaluate_unified,
     initial_state,
     instruction_duration,
@@ -178,3 +181,45 @@ def test_incremental_matches_batch():
         assert batch.t_idle_us == pytest.approx(n * t_total - gate_time, rel=1e-12)
         assert batch.f_gates == pytest.approx(f_gates, rel=1e-12)
         assert batch.move_count == moves
+
+        # the other models' run time, idle time and busy time, op by op
+        busy = {q.id: 0.0 for q in spec.qubits}
+        enola_total = dasatom_distance = 0.0
+        gate_stages = cz = 0
+        state = initial_state(spec)
+        for stage in program.stages:
+            durations = []
+            distances = []
+            for op in stage.ops:
+                if isinstance(op, Gate):
+                    durations.append(spec.gate_times[op.name])
+                    for cell in op.operands:
+                        busy[state.occupancy[cell]] += spec.gate_times[op.name]
+                    cz += op.name == "cz"
+                else:
+                    distance = cell_distance(op.src, op.dst, spec.grid_side)
+                    distances.append(distance * spec.inter_qubit_distance)
+                    durations.append(
+                        2 * spec.aod_transfer_time + distances[-1] / spec.move_speed**2
+                    )
+            enola_total += max(durations)
+            gate_stages += len(durations) > len(distances)
+            dasatom_distance += max(distances, default=0.0)
+            state = apply_stage(state, stage)
+        t_cz = spec.gate_times["cz"]
+        dasatom_total = (
+            gate_stages * t_cz
+            + 2 * moves * spec.aod_transfer_time
+            + dasatom_distance / spec.move_speed
+        )
+
+        enola = evaluate_enola(program, spec)
+        assert enola.t_total_us == pytest.approx(enola_total, rel=1e-12)
+        assert enola.t_idle_us == pytest.approx(
+            sum(enola_total - b for b in busy.values()), rel=1e-12
+        )
+        dasatom = evaluate_dasatom(program, spec)
+        assert dasatom.t_total_us == pytest.approx(dasatom_total, rel=1e-12)
+        assert dasatom.t_idle_us == pytest.approx(n * dasatom_total - cz * t_cz, rel=1e-12)
+        for b in (batch, enola, dasatom):
+            assert b.busy_us == pytest.approx(busy, rel=1e-12)

@@ -6,18 +6,22 @@ from hypothesis import given, strategies as st
 
 from na_evalkit import (
     Gate,
+    Program,
     Move,
     Stage,
     apply_stage,
     cell_distance,
     initial_state,
     parse_program,
+    serialize_program,
     simulate,
     validate_stage,
 )
+from na_evalkit import grid
+from na_evalkit.cli import main
 from na_evalkit.errors import CellOutOfRange, IllegalStage
 from na_evalkit.grid import ViolationKind
-from helpers import GOLDEN_TEXT, make_spec, random_legal_program
+from helpers import GOLDEN_TEXT, arch_document, make_spec, random_legal_program
 
 
 def test_initial_state_row_major():
@@ -184,3 +188,52 @@ def test_apply_stage_order_independent():
             permuted = Stage(tuple(ops))
             assert apply_stage(state, permuted).occupancy == apply_stage(state, stage).occupancy
             state = apply_stage(state, stage)
+
+
+def test_simulate_and_apply_stage_leave_their_input_unchanged():
+    spec = make_spec(side=6, cells=list(range(7)))
+    rng = random.Random(13)
+    for _ in range(50):
+        program = random_legal_program(rng, spec, max_stages=6)
+        state = initial_state(spec)
+        before = dict(state.occupancy)
+        final = simulate(state, program)
+        assert state.occupancy == before
+        for stage in program.stages:
+            after = apply_stage(state, stage)
+            assert state.occupancy == before
+            assert after.occupancy is not state.occupancy
+            state = after
+            before = dict(state.occupancy)
+        assert state.occupancy == final.occupancy
+
+
+def test_illegal_stage_leaves_occupancy_untouched():
+    occupancy = {3: 0, 4: 1}
+    stage = Stage((Move(3, 5), Move(6, 7)))
+    with pytest.raises(IllegalStage):
+        grid.advance(occupancy, 10, stage)
+    assert occupancy == {3: 0, 4: 1}
+
+
+def test_validate_checks_each_stage_once(tmp_path, monkeypatch, capsys):
+    spec = make_spec(side=6, cells=list(range(7)))
+    program = Program(1, 0, ())
+    rng = random.Random(3)
+    while len(program.stages) < 5:
+        program = random_legal_program(rng, spec, max_stages=12)
+    circuit = tmp_path / "circuit.rsqasm"
+    circuit.write_text(serialize_program(program))
+    arch = tmp_path / "arch.json"
+    arch.write_text(arch_document(side=6, cells=list(range(7))))
+
+    calls = []
+    original = grid.validate_stage
+
+    def counting(state, stage, *args, **kwargs):
+        calls.append(stage)
+        return original(state, stage, *args, **kwargs)
+
+    monkeypatch.setattr(grid, "validate_stage", counting)
+    assert main(["validate", str(circuit), str(arch)]) == 0
+    assert calls == list(program.stages)

@@ -109,6 +109,22 @@ def test_param_errors():
         parse_program("RSQASM 1.0;\nrx() q[0];\n")
 
 
+def test_constructor_errors_carry_the_position():
+    with pytest.raises(ParamError) as info:
+        parse_program("RSQASM 1.0;\nh q[0];\n  rz(1e999) q[1];\n")
+    assert (info.value.line, info.value.column) == (3, 3)
+    with pytest.raises(ArityError) as info:
+        parse_program("RSQASM 1.0;\nh q[0];cz q[1];\n")
+    assert (info.value.line, info.value.column) == (2, 8)
+    with pytest.raises(DuplicateCellInStage) as info:
+        parse_program("RSQASM 1.0;\nh q[0]; move q[2], q[2];\n")
+    assert (info.value.line, info.value.column) == (2, 9)
+    # a cell shared between instructions is a fault of the stage as a whole
+    with pytest.raises(DuplicateCellInStage) as info:
+        parse_program("RSQASM 1.0;\n  h q[0];h q[0];\n")
+    assert (info.value.line, info.value.column) == (2, 3)
+
+
 def test_same_cell_twice_in_one_gate():
     with pytest.raises((ArityError, DuplicateCellInStage)):
         parse_program("RSQASM 1.0;\ncz q[3], q[3];\n")
