@@ -170,7 +170,9 @@ def parse_architecture(document: str | bytes) -> ArchitectureSpec:
     """
     try:
         root = json.loads(document)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad encodings and integer literals
+        # beyond Python's digit limit; RecursionError, nesting too deep
         raise MalformedDocument(f"not valid JSON: {exc}") from None
     root = _as_object(root, "<root>")
     _warn_unknown(root, {"schema", "properties", "parameters"}, "")

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, grid, normalize
 from .arch import ArchitectureSpec, parse_architecture
-from .errors import EvalKitError, IllegalStage
+from .errors import EvalKitError, IllegalStage, MalformedDocument, RsqasmSyntaxError
 from .models import Model, WhatIfInput, evaluate_model, whatif_collapse
 from .rsqasm import Program, parse_program, serialize_program
 
@@ -99,14 +99,18 @@ def _emit(report: dict, columns: list[tuple[str, str]], rows: list[dict], fmt: s
         sys.stdout.write(_render_table(columns, rows))
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read(path: str, malformed: type[EvalKitError]) -> str:
+    """A file's text; bytes that are not UTF-8 raise the domain error ``malformed``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise malformed(f"{path} is not valid UTF-8: {exc}") from None
 
 
 def _load(circuit_path: str, arch_path: str) -> tuple[Program, ArchitectureSpec]:
-    program = parse_program(_read(circuit_path))
-    spec = parse_architecture(_read(arch_path))
+    program = parse_program(_read(circuit_path, RsqasmSyntaxError))
+    spec = parse_architecture(_read(arch_path, MalformedDocument))
     return program, spec
 
 
@@ -185,12 +189,12 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec = parse_architecture(_read(args.arch))
+    spec = parse_architecture(_read(args.arch, MalformedDocument))
     rows = []
     failed = False
     for path in args.circuits:
         try:
-            program = parse_program(_read(path))
+            program = parse_program(_read(path, RsqasmSyntaxError))
             breakdown = evaluate_model(program, spec, args.model)
             rows.append({"circuit": path, **_fields(breakdown, _METRIC_COLUMNS), "error": None})
         except EvalKitError as exc:
@@ -218,7 +222,7 @@ _WHATIF_COLUMNS = [
 
 
 def cmd_whatif(args) -> int:
-    spec = parse_architecture(_read(args.arch))
+    spec = parse_architecture(_read(args.arch, MalformedDocument))
     result = whatif_collapse(
         WhatIfInput(
             old_t_idle_us=args.old_idle,

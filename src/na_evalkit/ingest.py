@@ -68,6 +68,13 @@ def _strip_comments(document: str) -> str:
     return "\n".join(line.split("//", 1)[0] for line in document.split("\n"))
 
 
+def _index(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise RsqasmSyntaxError(f"index has too many digits ({len(digits)})") from None
+
+
 def _parse_operands(text: str, register: str | None) -> tuple[list[int], bool]:
     """Parse a comma-separated operand list; returns (indices, saw_bare_register)."""
     indices: list[int] = []
@@ -82,7 +89,7 @@ def _parse_operands(text: str, register: str | None) -> tuple[list[int], bool]:
         if idx is None:
             bare = True
         else:
-            indices.append(int(idx))
+            indices.append(_index(idx))
     return indices, bare
 
 
@@ -119,7 +126,7 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
                 raise RsqasmSyntaxError(f"malformed qreg declaration {stmt!r}")
             if register is not None:
                 raise UnsupportedConstruct("multiple quantum registers are not supported")
-            register, declared = m.group(1), int(m.group(2))
+            register, declared = m.group(1), _index(m.group(2))
             continue
         if keyword in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedConstruct(f"unsupported statement: {stmt!r}")

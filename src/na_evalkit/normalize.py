@@ -10,21 +10,49 @@ Two rewrite rules run to a fixed point, earliest-first in program order:
   ``move a->c`` placed at the later stage (cell c is known free there; the
   atom simply lingers at a, which nothing references in the gap).
 
-A rewrite is only committed when the rewritten program is still legal and
+A rewrite is committed only when the rewritten program is still legal and
 reaches the same final atom-to-cell mapping; otherwise it is skipped and
 logged. Every committed rewrite strictly decreases the move count, so the
 pass terminates. Stages emptied by deletion are dropped. Unlike a mere
 statistics pass, the collapsed program is emitted as executable text again.
+
+The input is simulated once, to check that it is legal. No rewrite is
+simulated, because of two facts:
+
+* **Local check.** The partner is found in the first later stage j that
+  touches a or b, so stages i+1..j-1 never see the atom that now lingers
+  at a instead of b, and after stage j cells a, b and c hold what they
+  held before: the final mapping cannot change and only stage j can become
+  illegal. R1 removes the only use of a in stage j and is always legal.
+  R2 is illegal exactly when another instruction of stage j touches a (in
+  a legal program, a move into the vacated cell a), since ``move a->c``
+  would then share a cell within the stage. The check reads only cells
+  {a, b, c} in stages i..j.
+* **Resume, don't restart.** A commit changes references to cells
+  {a, b, c} only, so a move that failed earlier can succeed afterwards only
+  if it touches one of them. After a commit the earlier moves on those
+  cells are re-checked in program order (a commit among them queues its own
+  cells in turn), then the scan resumes after the committed move.
+
+Each move is thus searched for a partner once, plus once more per commit
+that touches its cells, and each search stops at the first later stage that
+touches the move's cells: near-linear in program size, instead of one
+simulation of the whole program per candidate. Emptied stages stay in
+place as tombstones until the result is built, so instruction positions
+never shift; event stage numbers are converted to positions at application
+time (empty stages dropped) when each event is recorded.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from . import grid
 from .arch import ArchitectureSpec
-from .errors import IllegalInput, IllegalStage, RsqasmError
+from .errors import IllegalInput, IllegalStage
 from .rsqasm import Instruction, Move, Program, Stage
 
 logger = logging.getLogger(__name__)
@@ -59,64 +87,140 @@ def _move_stats(stages: list[list[Instruction]], side: int) -> tuple[int, float]
     return count, distance
 
 
+class _Removed:
+    """Placeholder for a deleted instruction: not a move and touches no cell."""
+
+    cells = ()
+
+
+_REMOVED = _Removed()
+
+
 def _find_partner(stages: list[list[Instruction]], i: int, a: int, b: int):
     """First later move out of cell b with no reference to a or b in the gap.
 
-    Returns (stage index, op index) or None. A stage containing both the
-    partner and a blocker still yields the partner; the legality re-check
-    decides whether the rewrite survives.
+    Returns (stage index, op index, clash) or None, where ``clash`` says that
+    another instruction of the partner's stage touches a or b; such a stage
+    still yields the partner, and the caller skips the rewrite.
     """
     for j in range(i + 1, len(stages)):
         partner = None
         blocked = False
         for oj, op in enumerate(stages[j]):
             if isinstance(op, Move) and op.src == b:
-                partner = (j, oj)
+                partner = oj
             elif a in op.cells or b in op.cells:
                 blocked = True
         if partner is not None:
-            return partner
+            return j, partner, blocked
         if blocked:
             return None
     return None
 
 
-def _rewritten(
-    stages: list[list[Instruction]], i: int, oi: int, j: int, oj: int, rule: str
-) -> list[list[Instruction]]:
-    """Stage list after the rewrite (j > i strictly), empty stages dropped."""
-    source: Move = stages[i][oi]
-    partner: Move = stages[j][oj]
-    out: list[list[Instruction]] = []
-    for k, ops in enumerate(stages):
-        kept = list(ops)
-        if k == i:
-            kept.pop(oi)
-        elif k == j:
-            if rule == "R1":
-                kept.pop(oj)
-            else:
-                kept[oj] = Move(source.src, partner.dst)
-        if kept:
-            out.append(kept)
-    return out
+class _Pass:
+    """One resumable R1/R2 scan over ``work``, edited in place."""
 
+    def __init__(self, work: list[list[Instruction]]):
+        self.work = work
+        self.events: list[RewriteEvent] = []
+        self.dropped: list[int] = []  # sorted indices of emptied stages
+        self.edited: set[int] = set()
+        # cell -> sorted (stage, op) positions of moves touching it; built at
+        # the first commit, so a program without rewrites never pays for it
+        self.moves_at: dict[int, list[tuple[int, int]]] | None = None
 
-def _verify(
-    stages: list[list[Instruction]],
-    spec: ArchitectureSpec,
-    expected_final: dict[int, int],
-    version: tuple[int, int],
-) -> Program | None:
-    """Build and simulate the candidate; None when illegal or not equivalent."""
-    try:
-        program = Program(version[0], version[1], tuple(Stage(tuple(ops)) for ops in stages))
-        final = grid.simulate(grid.initial_state(spec), program)
-    except (RsqasmError, IllegalStage):
-        return None
-    if final.atom_cells() != expected_final:
-        return None
-    return program
+    def run(self):
+        work = self.work
+        for i, ops in enumerate(work):
+            for oi, op in enumerate(ops):
+                if not isinstance(op, Move):
+                    continue
+                found = _find_partner(work, i, op.src, op.dst)
+                if found is None:
+                    continue
+                cells = self._commit(i, oi, op, *found)
+                if cells:
+                    self._recheck((i, oi), cells)
+
+    def _at(self, k: int) -> int:
+        """Position of stage k once the stages emptied so far are dropped."""
+        return k - bisect_left(self.dropped, k)
+
+    def _commit(self, i, oi, move, j, oj, clash):
+        """Apply the rewrite of ``move`` with its partner; the touched cells, or None."""
+        work = self.work
+        partner = work[j][oj]
+        rule = "R1" if partner.dst == move.src else "R2"
+        stages = (self._at(i), self._at(j))
+        if clash:
+            logger.info(
+                "skipping %s on stages (%d, %d): rewrite would break legality",
+                rule, *stages,
+            )
+            return None
+        self.events.append(RewriteEvent(rule, stages))
+        work[i][oi] = _REMOVED
+        work[j][oj] = _REMOVED if rule == "R1" else Move(move.src, partner.dst)
+        self.edited.update((i, j))
+        for k in (i, j):
+            if all(op is _REMOVED for op in work[k]):
+                insort(self.dropped, k)
+        if self.moves_at is None:
+            self.moves_at = {}
+            for s, ops in enumerate(work):
+                for o, op in enumerate(ops):
+                    if isinstance(op, Move):
+                        self.moves_at.setdefault(op.src, []).append((s, o))
+                        self.moves_at.setdefault(op.dst, []).append((s, o))
+        elif rule == "R2":
+            # the merged move now touches a; its entry under b goes stale
+            insort(self.moves_at.setdefault(move.src, []), (j, oj))
+        return move.src, move.dst, partner.dst
+
+    def _recheck(self, limit: tuple[int, int], cells: tuple[int, int, int]):
+        """Re-check, in program order, the moves before ``limit`` on ``cells``."""
+        work = self.work
+        pending: list[tuple[int, int]] = []
+        queued: set[tuple[int, int]] = set()
+
+        def enqueue(cells):
+            for cell in cells:
+                for pos in self.moves_at.get(cell, ()):
+                    if pos >= limit:
+                        break
+                    op = work[pos[0]][pos[1]]
+                    # skip index entries left stale by earlier commits
+                    if isinstance(op, Move) and cell in op.cells and pos not in queued:
+                        queued.add(pos)
+                        heappush(pending, pos)
+
+        enqueue(cells)
+        while pending:
+            pos = heappop(pending)
+            queued.discard(pos)
+            s, o = pos
+            op = work[s][o]
+            if not isinstance(op, Move):  # removed by a commit since it was queued
+                continue
+            found = _find_partner(work, s, op.src, op.dst)
+            if found is None:
+                continue
+            cells = self._commit(s, o, op, *found)
+            if cells:
+                enqueue(cells)
+
+    def program(self, original: Program) -> Program:
+        """The rewritten program; stages never edited are reused as they are."""
+        stages = []
+        for k, ops in enumerate(self.work):
+            if k not in self.edited:
+                stages.append(original.stages[k])
+                continue
+            kept = tuple(op for op in ops if op is not _REMOVED)
+            if kept:
+                stages.append(Stage(kept))
+        return Program(original.version_major, original.version_minor, tuple(stages))
 
 
 def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, NormalizationReport]:
@@ -127,47 +231,16 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
     same final atom-to-cell mapping as the input.
     """
     try:
-        final = grid.simulate(grid.initial_state(spec), program)
+        grid.simulate(grid.initial_state(spec), program)
     except IllegalStage as exc:
         raise IllegalInput(f"program is not executable: {exc}") from exc
-    expected_final = final.atom_cells()
-    version = (program.version_major, program.version_minor)
     side = spec.grid_side
 
     work = [list(stage.ops) for stage in program.stages]
     moves_before, distance_before = _move_stats(work, side)
-    events: list[RewriteEvent] = []
-    collapsed = program
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            applied = False
-            for oi, op in enumerate(work[i]):
-                if not isinstance(op, Move):
-                    continue
-                found = _find_partner(work, i, op.src, op.dst)
-                if found is None:
-                    continue
-                j, oj = found
-                partner = work[j][oj]
-                rule = "R1" if partner.dst == op.src else "R2"
-                candidate = _rewritten(work, i, oi, j, oj, rule)
-                verified = _verify(candidate, spec, expected_final, version)
-                if verified is None:
-                    logger.info(
-                        "skipping %s on stages (%d, %d): rewrite would break legality",
-                        rule, i, j,
-                    )
-                    continue
-                events.append(RewriteEvent(rule, (i, j)))
-                work = candidate
-                collapsed = verified
-                applied = changed = True
-                break
-            if applied:
-                break
+    rewrite = _Pass(work)
+    rewrite.run()
+    collapsed = rewrite.program(program) if rewrite.events else program
 
     moves_after, distance_after = _move_stats(work, side)
     # guard against 1-ulp overshoot when a collinear R2 merge is exact
@@ -178,6 +251,6 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
         distance_before_cells=distance_before,
         distance_after_cells=distance_after,
         saved_distance_cells=distance_before - distance_after,
-        rewrites_applied=tuple(events),
+        rewrites_applied=tuple(rewrite.events),
     )
     return collapsed, report

@@ -191,9 +191,13 @@ def _parse_operand(sc: _LineScanner) -> int:
     idx = sc.take(_UINT_RE)
     if idx is None:
         sc.fail("expected a nonnegative cell index")
+    try:
+        cell = int(idx)
+    except ValueError:  # more digits than int() converts
+        sc.fail("cell index has too many digits", col)
     sc.skip_ws()
     sc.expect_char("]", "']'")
-    return int(idx)
+    return cell
 
 
 def _parse_operand_list(sc: _LineScanner) -> list[int]:
@@ -292,7 +296,10 @@ def parse_program(document: str | bytes) -> Program:
                 raise MissingHeader(
                     "expected header of the form 'RSQASM <major>.<minor>;'", line_no, 1
                 )
-            major, minor = int(m.group(1)), int(m.group(2))
+            try:
+                major, minor = int(m.group(1)), int(m.group(2))
+            except ValueError:  # more digits than int() converts
+                raise UnsupportedVersion("version number has too many digits", line_no, 1) from None
             if major != 1:
                 raise UnsupportedVersion(f"unsupported major version {major}", line_no, 1)
             header = (major, minor)

@@ -1,17 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import collapse_reference
 from na_evalkit import (
+    Gate,
     Move,
+    Program,
+    Stage,
     collapse,
+    grid,
     initial_state,
     parse_program,
     serialize_program,
     simulate,
 )
 from na_evalkit.errors import IllegalInput
-from helpers import make_spec, random_program_with_redundancy
+from helpers import make_spec, random_legal_program, random_program_with_redundancy
 
 REVERSAL_TEXT = (
     "RSQASM 1.0;\n"
@@ -141,3 +147,106 @@ def test_collapse_is_idempotent_on_seeded_programs():
         assert again == collapsed
         assert second.rewrites_applied == ()
     assert rewrites_seen > 0  # the generator must actually seed patterns
+
+
+def test_revived_candidate_is_committed():
+    # 7 -> 10 is blocked at first: 4 -> 7 moves into cell 7 in the next
+    # stage. Committing R2 (1, 3), 4 -> 7 -> 3, empties that stage and
+    # unblocks 7 -> 10 -> 9. Only a re-check of the earlier moves on the
+    # committed cells finds it; a forward-only scan stops after one rewrite.
+    spec = make_spec(side=4, cells=[4, 7, 8, 11])
+    program = parse_program(
+        "RSQASM 1.0;\n"
+        "move q[7], q[10];\n"
+        "move q[4], q[7];\n"
+        "move q[8], q[12];move q[10], q[9];\n"
+        "move q[7], q[3];\n"
+    )
+    collapsed, report = collapse(program, spec)
+    assert [(e.rule, e.stages) for e in report.rewrites_applied] == [
+        ("R2", (1, 3)), ("R2", (0, 1)),
+    ]
+    assert serialize_program(collapsed) == (
+        "RSQASM 1.0;\nmove q[8], q[12];move q[7], q[9];\nmove q[4], q[3];\n"
+    )
+    assert (collapsed, report) == collapse_reference.collapse(program, spec)
+
+
+def test_collapse_simulates_once(monkeypatch):
+    spec = make_spec(side=8, cells=list(range(0, 64, 3)))
+    program = random_program_with_redundancy(random.Random(7), spec, patterns=40)
+    calls = []
+    original = grid.simulate
+
+    def counting(state, simulated):
+        calls.append(simulated)
+        return original(state, simulated)
+
+    monkeypatch.setattr(grid, "simulate", counting)
+    _, report = collapse(program, spec)
+    assert len(report.rewrites_applied) >= 20
+    assert calls == [program]
+
+
+def _assert_matches_reference(program, spec):
+    fast = collapse(program, spec)
+    assert fast == collapse_reference.collapse(program, spec)
+    return fast[1].rewrites_applied
+
+
+@st.composite
+def _move_heavy_programs(draw):
+    """A legal program on a small, crowded grid, three moves to one gate."""
+    side = draw(st.integers(2, 4))
+    cells = draw(st.lists(
+        st.integers(0, side * side - 1), unique=True, min_size=1, max_size=side * side - 1,
+    ))
+    occupied = set(cells)
+    stages = []
+    for _ in range(draw(st.integers(0, 16))):
+        used: set[int] = set()
+        ops = []
+        for _ in range(draw(st.integers(1, 3))):
+            sources = sorted(occupied - used)
+            targets = sorted(set(range(side * side)) - occupied - used)
+            if not sources:
+                break
+            if targets and draw(st.sampled_from(["move", "move", "move", "gate"])) == "move":
+                src, dst = draw(st.sampled_from(sources)), draw(st.sampled_from(targets))
+                ops.append(Move(src, dst))
+                used.update((src, dst))
+            else:
+                cell = draw(st.sampled_from(sources))
+                ops.append(Gate("h", (), (cell,)))
+                used.add(cell)
+        if ops:
+            moves = [op for op in ops if isinstance(op, Move)]
+            occupied.difference_update(m.src for m in moves)
+            occupied.update(m.dst for m in moves)
+            stages.append(Stage(tuple(ops)))
+    return make_spec(side=side, cells=cells), Program(1, 0, tuple(stages))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_move_heavy_programs())
+def test_collapse_matches_reference_on_drawn_programs(case):
+    spec, program = case
+    _assert_matches_reference(program, spec)
+
+
+def test_collapse_matches_reference_on_seeded_programs():
+    rewrites = revived = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        side = rng.randint(3, 6)
+        cells = rng.sample(range(side * side), rng.randint(1, side * side - 1))
+        spec = make_spec(side=side, cells=cells)
+        if seed % 2:
+            program = random_program_with_redundancy(rng, spec, patterns=rng.randint(1, 6))
+        else:
+            program = random_legal_program(rng, spec, max_stages=20)
+        events = _assert_matches_reference(program, spec)
+        rewrites += len(events)
+        # a commit earlier than the one before it came from a re-check
+        revived += sum(b.stages[0] < a.stages[0] for a, b in zip(events, events[1:]))
+    assert rewrites > 1000 and revived > 0
