@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, grid, normalize
 from .arch import ArchitectureSpec, parse_architecture
-from .errors import EvalKitError, IllegalStage, MalformedDocument, RsqasmSyntaxError
+from .errors import EvalKitError, IllegalStage, InvalidInput, MalformedDocument, RsqasmSyntaxError
 from .models import Model, WhatIfInput, evaluate_model, whatif_collapse
 from .rsqasm import Program, parse_program, serialize_program
 
@@ -119,14 +119,15 @@ def _fields(obj, columns: list[tuple[str, str]]) -> dict:
 
 
 def cmd_validate(args) -> int:
+    radius = args.interaction_radius
+    if radius is not None and not radius >= 0:  # NaN would silence every warning
+        raise InvalidInput(f"interaction radius must be >= 0, got {radius}")
     program, spec = _load(args.circuit, args.arch)
     occupancy = grid.initial_state(spec).occupancy
     failures = 0
     for index, stage in enumerate(program.stages):
         try:
-            diagnosis = grid.advance(
-                occupancy, spec.grid_side, stage, index, args.interaction_radius
-            )
+            diagnosis = grid.advance(occupancy, spec.grid_side, stage, index, radius)
         except IllegalStage as exc:
             diagnosis = exc.diagnosis
         for warning in diagnosis.warnings:

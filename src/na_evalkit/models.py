@@ -184,6 +184,8 @@ class WhatIfInput:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.old_t_idle_us) and math.isfinite(self.saved_distance_cells)):
+            raise InvalidInput("idle time and saved distance must be finite")
         if self.saved_distance_cells < 0:
             raise InvalidInput("saved distance must be >= 0")
         if self.new_move_count > self.old_move_count:

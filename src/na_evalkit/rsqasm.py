@@ -12,16 +12,24 @@ not logical qubits::
     cz q[0], q[5];cz q[1], q[3];move q[2], q[4];
 
 Within a stage every instruction ends with ``;`` and no cell may appear in
-more than one instruction's operand set (static disjointness). Rotation
-gates carry a single numeric angle in radians, ``rz(0.5) q[3];``. Lines
-starting with ``//`` are comments. Cell indices carry no upper bound here;
-grid bounds are checked at simulation time.
+more than one instruction's operand set (static disjointness). Cell indices
+carry no upper bound here; grid bounds are checked at simulation time.
+
+Lexical rules: digits are ASCII ``0``-``9`` only. In a stage, blanks are
+spaces and tabs, allowed between any two tokens (``cz q[ 0 ] ,q[5] ;``) but
+not inside a name or a number. Only rx, ry and rz take an angle in radians,
+``rz(0.5) q[3];``, written ``[+-]? (D+ [. D*] | . D+) ([eE] [+-]? D+)?`` for
+an ASCII digit D, so ``inf``, ``nan`` and ``1_0`` are rejected; ``move``
+takes none. Blank lines and lines starting with ``//`` are skipped; there,
+and around the header, any Unicode whitespace counts. ``//`` after an
+instruction is an error.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -131,83 +139,24 @@ class Program:
             raise UnsupportedVersion(f"unsupported major version {self.version_major}")
 
 
-_HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;[ \t]*$")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_UINT_RE = re.compile(r"\d+")
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-_WS_RE = re.compile(r"[ \t]*")
+_HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;[ \t]*$", re.ASCII)
 
-
-class _LineScanner:
-    """Cursor over one physical line; positions are 1-based for diagnostics."""
-
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.line = line_no
-        self.pos = 0
-
-    @property
-    def column(self) -> int:
-        return self.pos + 1
-
-    def skip_ws(self):
-        self.pos = _WS_RE.match(self.text, self.pos).end()
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, regex: re.Pattern) -> str | None:
-        m = regex.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group(0)
-
-    def expect_char(self, char: str, what: str):
-        if self.peek() != char:
-            raise RsqasmSyntaxError(
-                f"expected {what}, got {self.peek()!r}" if self.peek() else f"expected {what}",
-                self.line,
-                self.column,
-            )
-        self.pos += 1
-
-    def fail(self, message: str, column: int | None = None):
-        raise RsqasmSyntaxError(message, self.line, column or self.column)
-
-
-def _parse_operand(sc: _LineScanner) -> int:
-    sc.skip_ws()
-    col = sc.column
-    name = sc.take(_IDENT_RE)
-    if name != "q":
-        sc.fail("expected operand of the form q[<uint>]", col)
-    sc.skip_ws()
-    sc.expect_char("[", "'['")
-    sc.skip_ws()
-    idx = sc.take(_UINT_RE)
-    if idx is None:
-        sc.fail("expected a nonnegative cell index")
-    try:
-        cell = int(idx)
-    except ValueError:  # more digits than int() converts
-        sc.fail("cell index has too many digits", col)
-    sc.skip_ws()
-    sc.expect_char("]", "']'")
-    return cell
-
-
-def _parse_operand_list(sc: _LineScanner) -> list[int]:
-    operands = [_parse_operand(sc)]
-    sc.skip_ws()
-    while sc.peek() == ",":
-        sc.pos += 1
-        operands.append(_parse_operand(sc))
-        sc.skip_ws()
-    return operands
+# One instruction and the blanks after it. Every part after the name may match
+# empty, so the pattern matches anywhere but at the end of the line: the first
+# required part that is empty names the diagnostic, and its position the column.
+_OPERAND = r"q[ \t]*\[[ \t]*\d+[ \t]*\]"
+_INSTRUCTION_RE = re.compile(
+    rf"""(?!\Z)[ \t]*(?P<name>[A-Za-z_]\w*|)[ \t]*
+    (?:(?P<open>\()[ \t]*
+        (?P<angle>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|)[ \t]*
+        (?P<close>\)|)[ \t]*)?
+    (?P<operands>{_OPERAND}(?:[ \t]*,[ \t]*{_OPERAND})*|)[ \t]*
+    (?P<comma>,|)[ \t]*
+    (?P<end>;|)[ \t]*""",
+    re.ASCII | re.VERBOSE,
+)
+_CELL_RE = re.compile(r"\d+", re.ASCII)
+_OPERAND_FORM = "expected operand of the form q[<uint>]"
 
 
 def _located(line: int, column: int, build, *args):
@@ -218,52 +167,52 @@ def _located(line: int, column: int, build, *args):
         raise type(exc)(str(exc), line, column) from None
 
 
-def _parse_instruction(sc: _LineScanner) -> Instruction:
-    sc.skip_ws()
-    col = sc.column
-    name = sc.take(_IDENT_RE)
-    if name is None:
-        sc.fail("expected an instruction name")
+def _expected(what: str, m: re.Match, group: str, line: int) -> RsqasmSyntaxError:
+    pos = m.start(group)
+    got = m.string[pos:pos + 1]
+    message = f"expected {what}, got {got!r}" if got else f"expected {what}"
+    return RsqasmSyntaxError(message, line, pos + 1)
 
+
+def _parse_instruction(m: re.Match, line: int) -> Instruction:
+    name, opened, angle, close, operands, comma, end = m.groups()
+    col = m.start("name") + 1
     if name == MOVE_NAME:
-        operands = _parse_operand_list(sc)
-        sc.skip_ws()
-        sc.expect_char(";", "';'")
-        if len(operands) != 2:
-            raise ArityError(f"move takes 2 operands, got {len(operands)}", sc.line, col)
-        return _located(sc.line, col, Move, operands[0], operands[1])
-
-    if name not in NATIVE_GATES:
-        raise UnknownInstruction(f"unknown instruction {name!r}", sc.line, col)
-
-    params: tuple[float, ...] = ()
-    sc.skip_ws()
-    if sc.peek() == "(":
-        sc.pos += 1
-        sc.skip_ws()
-        num = sc.take(_NUMBER_RE)
-        if num is None:
-            raise ParamError(f"expected a numeric angle for {name}", sc.line, sc.column)
-        sc.skip_ws()
-        sc.expect_char(")", "')'")
-        params = (float(num),)
-
-    operands = _parse_operand_list(sc)
-    sc.skip_ws()
-    sc.expect_char(";", "';'")
-    return _located(sc.line, col, Gate, name, params, tuple(operands))
+        if opened:
+            raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("open") + 1)
+    elif name not in NATIVE_GATES:
+        if not name:
+            raise RsqasmSyntaxError("expected an instruction name", line, col)
+        raise UnknownInstruction(f"unknown instruction {name!r}", line, col)
+    elif opened:
+        if not angle:
+            raise ParamError(f"expected a numeric angle for {name}", line, m.start("angle") + 1)
+        if not close:
+            raise _expected("')'", m, "close", line)
+    try:
+        cells = tuple(map(int, _CELL_RE.findall(operands)))
+    except ValueError:  # more digits than int() converts; point at that operand
+        text, limit = m.string, sys.get_int_max_str_digits()
+        big = next(d for d in _CELL_RE.finditer(text, *m.span("operands")) if len(d[0]) > limit)
+        column = text.rindex("q", 0, big.start()) + 1
+        raise RsqasmSyntaxError("cell index has too many digits", line, column) from None
+    if comma or not operands:  # the first operand, or the one after a comma, is malformed
+        column = m.start("end" if operands else "operands") + 1
+        raise RsqasmSyntaxError(_OPERAND_FORM, line, column)
+    if not end:
+        raise _expected("';'", m, "end", line)
+    if name == MOVE_NAME:
+        if len(cells) != 2:
+            raise ArityError(f"move takes 2 operands, got {len(cells)}", line, col)
+        return _located(line, col, Move, *cells)
+    return _located(line, col, Gate, name, (float(angle),) if opened else (), cells)
 
 
 def _parse_stage_line(text: str, line_no: int) -> Stage:
-    sc = _LineScanner(text, line_no)
-    ops: list[Instruction] = []
-    sc.skip_ws()
-    start = sc.column
-    while not sc.at_end():
-        ops.append(_parse_instruction(sc))
-        sc.skip_ws()
+    ops = tuple(_parse_instruction(m, line_no) for m in _INSTRUCTION_RE.finditer(text))
     # a cell shared between instructions is reported where the stage starts
-    return _located(line_no, start, Stage, tuple(ops))
+    start = len(text) - len(text.lstrip(" \t")) + 1
+    return _located(line_no, start, Stage, ops)
 
 
 def _is_comment(line: str) -> bool:

@@ -232,6 +232,35 @@ def test_whatif_guard_exit_two(files, capsys):
     assert "InvalidInput" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--old-idle", "nan"), ("--old-idle", "inf"),
+    ("--saved-distance", "nan"), ("--saved-distance", "inf"),
+])
+def test_whatif_rejects_non_finite_inputs(files, capsys, flag, value):
+    argv = {
+        "--old-idle": "2747600", "--saved-distance": "6003.69",
+        "--moves-before": "1828", "--moves-after": "937", "--n": "30",
+    }
+    argv[flag] = value
+    assert main(["whatif", files["arch"], *(x for kv in argv.items() for x in kv),
+                 "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert "InvalidInput" in captured.err
+
+
+@pytest.mark.parametrize("radius", ["nan", "-1"])
+def test_validate_rejects_bad_interaction_radius(tmp_path, capsys, radius):
+    arch = tmp_path / "arch.json"
+    arch.write_text(arch_document())
+    circuit = tmp_path / "spread.rsqasm"
+    circuit.write_text("RSQASM 1.0;\ncz q[0], q[29];\n")
+    assert main(["validate", str(circuit), str(arch), "--interaction-radius", radius]) == 2
+    captured = capsys.readouterr()
+    assert "InvalidInput" in captured.err
+    assert "warning" not in captured.err and captured.out == ""
+
+
 def test_color_env_controls_ansi(files, capsys, monkeypatch):
     monkeypatch.setenv("NA_EVALKIT_COLOR", "always")
     main(["evaluate", files["circuit"], files["arch"]])

@@ -242,3 +242,8 @@ def test_whatif_input_validation():
         WhatIfInput(100.0, 0.0, 5, 10, 30)  # move count grew
     with pytest.raises(InvalidInput):
         WhatIfInput(100.0, 0.0, 10, 5, 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput):
+            WhatIfInput(bad, 0.0, 10, 5, 30)
+        with pytest.raises(InvalidInput):
+            WhatIfInput(100.0, bad, 10, 5, 30)
