@@ -27,6 +27,7 @@ microsecond. Qubit coordinates are screen-space (x column, y row, origin at
 the top-left corner). Every number must be finite; ``NaN`` and ``Infinity``
 are rejected. ``excitementFidelity`` is optional and defaults to 1.0.
 Unknown keys are ignored with a warning so newer documents stay readable.
+Keys are read in the order shown, each fully checked before the next.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 from .errors import InvalidValue, MalformedDocument, MissingField, SchemaMismatch
 from .rsqasm import NATIVE_GATES
@@ -78,19 +80,6 @@ class ArchitectureSpec:
         return len(self.qubits)
 
 
-def _warn_unknown(obj: dict, known: set[str], path: str):
-    for key in obj:
-        if key not in known:
-            warnings.warn(f"ignoring unknown key {path}.{key}" if path else
-                          f"ignoring unknown key {key}", stacklevel=3)
-
-
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise MissingField("required field is missing", f"{path}.{key}" if path else key)
-    return obj[key]
-
-
 def _as_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise InvalidValue("expected a JSON object", path)
@@ -115,49 +104,123 @@ def _as_number(value, path: str) -> float:
     return number
 
 
-def _as_fidelity(value, path: str) -> float:
-    f = _as_number(value, path)
-    if not 0.0 < f <= 1.0:
-        raise InvalidValue(f"fidelity must be in (0, 1], got {f}", path)
-    return f
+class _Leaf(NamedTuple):
+    """A key filling one spec field (by default the one named like the key):
+    ``read(value, path, reading)`` converts and checks it, ``write`` renders it."""
+    read: Callable
+    field: str | None = None
+    write: Callable = lambda value: value
+    optional: bool = False
 
 
-def _parse_gate_map(value, path: str, as_value) -> dict[str, float]:
-    obj = _as_object(value, path)
-    out = {name: as_value(v, f"{path}.{name}") for name, v in obj.items()}
-    missing = sorted(NATIVE_GATES - out.keys())
-    if missing:
-        raise MissingField(f"missing native gate entries: {', '.join(missing)}", path)
-    return out
+class _Reading:
+    """One document being read: the fields found so far, and its unknown keys."""
+
+    def __init__(self):
+        self.fields: dict = {}
+        self.unknown: list[str] = []
+
+    def object(self, layout: dict, value, path: str, into: dict) -> dict:
+        """Read a JSON object laid out as ``layout`` into ``into``, each key
+        fully before the next; its unknown keys are noted, not warned."""
+        obj = _as_object(value, path or "<root>")
+        prefix = f"{path}." if path else ""
+        self.unknown += [f"ignoring unknown key {prefix}{key}" for key in obj if key not in layout]
+        for key, entry in layout.items():
+            at = prefix + key
+            if key not in obj:
+                if not (isinstance(entry, _Leaf) and entry.optional):
+                    raise MissingField("required field is missing", at)
+            elif isinstance(entry, _Leaf):
+                into[entry.field or key] = entry.read(obj[key], at, self)
+            else:
+                self.object(entry, obj[key], at, into)
+        return into
 
 
-def _parse_qubits(value, side: int) -> tuple[QubitPlacement, ...]:
+def _checked(convert, ok, message: str, error=InvalidValue):
+    """A reader that converts a value, then raises ``error(message)`` unless ``ok``."""
+    def read(value, path: str, reading=None):
+        x = convert(value, path)
+        if not ok(x):
+            raise error(message.format(x), path)
+        return x
+    return read
+
+
+def _gate_map(read_value, field: str) -> _Leaf:
+    """A gate-name map, written sorted; every native gate needs an entry."""
+    def read(value, path: str, reading=None) -> dict[str, float]:
+        obj = _as_object(value, path)
+        out = {name: read_value(v, f"{path}.{name}") for name, v in obj.items()}
+        missing = sorted(NATIVE_GATES - out.keys())
+        if missing:
+            raise MissingField(f"missing native gate entries: {', '.join(missing)}", path)
+        return out
+    return _Leaf(read, field, lambda gate_map: dict(sorted(gate_map.items())))
+
+
+_QUBIT_LAYOUT = {
+    f.name: _Leaf(lambda value, path, _: _as_int(value, path)) for f in fields(QubitPlacement)
+}
+
+
+def _parse_qubits(value, path: str, reading: _Reading) -> tuple[QubitPlacement, ...]:
     if not isinstance(value, list):
-        raise InvalidValue("expected a list", "parameters.Qubits")
-    placements = []
-    seen_ids: set[int] = set()
-    seen_pos: set[tuple[int, int]] = set()
+        raise InvalidValue("expected a list", path)
+    side = reading.fields["grid_side"]
+    placements: dict[int, QubitPlacement] = {}
+    seen_pos = set()
     for i, entry in enumerate(value):
-        path = f"parameters.Qubits[{i}]"
-        obj = _as_object(entry, path)
-        _warn_unknown(obj, {"id", "x", "y"}, path)
-        qid = _as_int(_require(obj, "id", path), f"{path}.id")
-        x = _as_int(_require(obj, "x", path), f"{path}.x")
-        y = _as_int(_require(obj, "y", path), f"{path}.y")
-        if qid < 0:
-            raise InvalidValue(f"qubit id must be nonnegative, got {qid}", f"{path}.id")
-        if not (0 <= x < side and 0 <= y < side):
-            raise InvalidValue(
-                f"position ({x}, {y}) outside the {side}x{side} grid", path
-            )
-        if qid in seen_ids:
-            raise InvalidValue(f"duplicate qubit id {qid}", f"{path}.id")
-        if (x, y) in seen_pos:
-            raise InvalidValue(f"duplicate qubit position ({x}, {y})", path)
-        seen_ids.add(qid)
-        seen_pos.add((x, y))
-        placements.append(QubitPlacement(qid, x, y))
-    return tuple(placements)
+        at = f"{path}[{i}]"
+        q = QubitPlacement(**reading.object(_QUBIT_LAYOUT, entry, at, {}))
+        if q.id < 0:
+            raise InvalidValue(f"qubit id must be nonnegative, got {q.id}", f"{at}.id")
+        if not (0 <= q.x < side and 0 <= q.y < side):
+            raise InvalidValue(f"position ({q.x}, {q.y}) outside the {side}x{side} grid", at)
+        if q.id in placements:
+            raise InvalidValue(f"duplicate qubit id {q.id}", f"{at}.id")
+        if (q.x, q.y) in seen_pos:
+            raise InvalidValue(f"duplicate qubit position ({q.x}, {q.y})", at)
+        seen_pos.add((q.x, q.y))
+        placements[q.id] = q
+    return tuple(placements.values())
+
+
+_POSITIVE = _checked(_as_number, lambda x: x > 0, "must be > 0, got {}")
+_FIDELITY = _checked(_as_number, lambda f: 0.0 < f <= 1.0, "fidelity must be in (0, 1], got {}")
+
+# The one statement of the layout above, which parsing, the unknown-key
+# warnings and serialization all walk in this order: a dict is a JSON object,
+# a _Leaf a key that fills one ArchitectureSpec field.
+_LAYOUT = {
+    "schema": _Leaf(_checked(
+        _as_int, SUPPORTED_SCHEMAS.__contains__, "unknown schema version {}", SchemaMismatch
+    )),
+    "properties": {
+        "nRows_nColumns_grid_side_size": _Leaf(
+            _checked(_as_int, lambda n: n >= 1, "grid side must be >= 1, got {}"), "grid_side"
+        ),
+        "interQubitDistance": _Leaf(_POSITIVE, "inter_qubit_distance"),
+    },
+    "parameters": {
+        # after the grid side, which bounds the positions
+        "Qubits": _Leaf(_parse_qubits, "qubits", lambda qubits: [asdict(q) for q in qubits]),
+        "gateTimes": _gate_map(
+            _checked(_as_number, lambda t: t >= 0, "gate time must be >= 0, got {}"), "gate_times"
+        ),
+        "gateFidelities": _gate_map(_FIDELITY, "gate_fidelities"),
+        "shuttlingTimesSpeed": {
+            "move_speed": _Leaf(_POSITIVE),
+            "aod_activate_deactivate_time": _Leaf(
+                _checked(_as_number, lambda t: t >= 0, "must be >= 0, got {}"), "aod_transfer_time"
+            ),
+        },
+        "shuttlingFidelities": {"aod_activate_deactivate": _Leaf(_FIDELITY, "transfer_fidelity")},
+        "decoherenceTimes": {"t1": _Leaf(_POSITIVE), "t2": _Leaf(_POSITIVE)},
+        "excitementFidelity": _Leaf(_FIDELITY, "excitement_fidelity", optional=True),
+    },
+}
 
 
 def parse_architecture(document: str | bytes) -> ArchitectureSpec:
@@ -174,147 +237,24 @@ def parse_architecture(document: str | bytes) -> ArchitectureSpec:
         # ValueError covers bad JSON, bad encodings and integer literals
         # beyond Python's digit limit; RecursionError, nesting too deep
         raise MalformedDocument(f"not valid JSON: {exc}") from None
-    root = _as_object(root, "<root>")
-    _warn_unknown(root, {"schema", "properties", "parameters"}, "")
+    reading = _Reading()
+    try:
+        reading.object(_LAYOUT, root, "", reading.fields)
+    finally:
+        # warned here, also when reading fails, so each names our caller
+        for note in reading.unknown:
+            warnings.warn(note, stacklevel=2)
+    return ArchitectureSpec(**reading.fields)
 
-    schema = _as_int(_require(root, "schema", ""), "schema")
-    if schema not in SUPPORTED_SCHEMAS:
-        raise SchemaMismatch(f"unknown schema version {schema}", "schema")
 
-    props = _as_object(_require(root, "properties", ""), "properties")
-    _warn_unknown(props, {"nRows_nColumns_grid_side_size", "interQubitDistance"}, "properties")
-    side = _as_int(
-        _require(props, "nRows_nColumns_grid_side_size", "properties"),
-        "properties.nRows_nColumns_grid_side_size",
-    )
-    if side < 1:
-        raise InvalidValue(
-            f"grid side must be >= 1, got {side}", "properties.nRows_nColumns_grid_side_size"
-        )
-    spacing = _as_number(
-        _require(props, "interQubitDistance", "properties"), "properties.interQubitDistance"
-    )
-    if spacing <= 0:
-        raise InvalidValue(f"must be > 0, got {spacing}", "properties.interQubitDistance")
-
-    params = _as_object(_require(root, "parameters", ""), "parameters")
-    _warn_unknown(
-        params,
-        {"Qubits", "gateTimes", "gateFidelities", "shuttlingTimesSpeed",
-         "shuttlingFidelities", "decoherenceTimes", "excitementFidelity"},
-        "parameters",
-    )
-
-    qubits = _parse_qubits(_require(params, "Qubits", "parameters"), side)
-
-    def _gate_time(value, path):
-        t = _as_number(value, path)
-        if t < 0:
-            raise InvalidValue(f"gate time must be >= 0, got {t}", path)
-        return t
-
-    gate_times = _parse_gate_map(
-        _require(params, "gateTimes", "parameters"), "parameters.gateTimes", _gate_time
-    )
-    gate_fidelities = _parse_gate_map(
-        _require(params, "gateFidelities", "parameters"),
-        "parameters.gateFidelities",
-        _as_fidelity,
-    )
-
-    shuttling = _as_object(
-        _require(params, "shuttlingTimesSpeed", "parameters"), "parameters.shuttlingTimesSpeed"
-    )
-    _warn_unknown(
-        shuttling, {"move_speed", "aod_activate_deactivate_time"},
-        "parameters.shuttlingTimesSpeed",
-    )
-    speed = _as_number(
-        _require(shuttling, "move_speed", "parameters.shuttlingTimesSpeed"),
-        "parameters.shuttlingTimesSpeed.move_speed",
-    )
-    if speed <= 0:
-        raise InvalidValue(
-            f"must be > 0, got {speed}", "parameters.shuttlingTimesSpeed.move_speed"
-        )
-    aod_time = _as_number(
-        _require(shuttling, "aod_activate_deactivate_time", "parameters.shuttlingTimesSpeed"),
-        "parameters.shuttlingTimesSpeed.aod_activate_deactivate_time",
-    )
-    if aod_time < 0:
-        raise InvalidValue(
-            f"must be >= 0, got {aod_time}",
-            "parameters.shuttlingTimesSpeed.aod_activate_deactivate_time",
-        )
-
-    shuttle_fid = _as_object(
-        _require(params, "shuttlingFidelities", "parameters"), "parameters.shuttlingFidelities"
-    )
-    _warn_unknown(shuttle_fid, {"aod_activate_deactivate"}, "parameters.shuttlingFidelities")
-    transfer_fidelity = _as_fidelity(
-        _require(shuttle_fid, "aod_activate_deactivate", "parameters.shuttlingFidelities"),
-        "parameters.shuttlingFidelities.aod_activate_deactivate",
-    )
-
-    decoh = _as_object(
-        _require(params, "decoherenceTimes", "parameters"), "parameters.decoherenceTimes"
-    )
-    _warn_unknown(decoh, {"t1", "t2"}, "parameters.decoherenceTimes")
-    t1 = _as_number(
-        _require(decoh, "t1", "parameters.decoherenceTimes"), "parameters.decoherenceTimes.t1"
-    )
-    t2 = _as_number(
-        _require(decoh, "t2", "parameters.decoherenceTimes"), "parameters.decoherenceTimes.t2"
-    )
-    if t1 <= 0:
-        raise InvalidValue(f"must be > 0, got {t1}", "parameters.decoherenceTimes.t1")
-    if t2 <= 0:
-        raise InvalidValue(f"must be > 0, got {t2}", "parameters.decoherenceTimes.t2")
-
-    excitement = 1.0
-    if "excitementFidelity" in params:
-        excitement = _as_fidelity(params["excitementFidelity"], "parameters.excitementFidelity")
-
-    return ArchitectureSpec(
-        schema=schema,
-        grid_side=side,
-        inter_qubit_distance=spacing,
-        qubits=qubits,
-        gate_times=gate_times,
-        gate_fidelities=gate_fidelities,
-        move_speed=speed,
-        aod_transfer_time=aod_time,
-        transfer_fidelity=transfer_fidelity,
-        t1=t1,
-        t2=t2,
-        excitement_fidelity=excitement,
-    )
+def _write(layout: dict, spec: ArchitectureSpec) -> dict:
+    return {key: _write(entry, spec) if isinstance(entry, dict)
+            else entry.write(getattr(spec, entry.field or key)) for key, entry in layout.items()}
 
 
 def serialize_architecture(spec: ArchitectureSpec) -> str:
     """Render a spec back to the document format (deterministic, re-parseable)."""
-    doc = {
-        "schema": spec.schema,
-        "properties": {
-            "nRows_nColumns_grid_side_size": spec.grid_side,
-            "interQubitDistance": spec.inter_qubit_distance,
-        },
-        "parameters": {
-            "Qubits": [{"id": q.id, "x": q.x, "y": q.y} for q in spec.qubits],
-            "gateTimes": {name: spec.gate_times[name] for name in sorted(spec.gate_times)},
-            "gateFidelities": {
-                name: spec.gate_fidelities[name] for name in sorted(spec.gate_fidelities)
-            },
-            "shuttlingTimesSpeed": {
-                "move_speed": spec.move_speed,
-                "aod_activate_deactivate_time": spec.aod_transfer_time,
-            },
-            "shuttlingFidelities": {"aod_activate_deactivate": spec.transfer_fidelity},
-            "decoherenceTimes": {"t1": spec.t1, "t2": spec.t2},
-            "excitementFidelity": spec.excitement_fidelity,
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_write(_LAYOUT, spec), indent=2) + "\n"
 
 
 def effective_coherence_time(spec: ArchitectureSpec) -> float:

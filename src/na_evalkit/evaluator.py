@@ -116,6 +116,16 @@ class ProgramTrace:
                 durations.append(max(gate_us, move_time(move_cells)))
         return durations
 
+    def run_time_us(self, move_time: Callable[[float], float]) -> float:
+        """Total run time: the stage durations added one by one in stage order.
+        A plain running sum, since the built-in sum() compensates rounding
+        from Python 3.12 on; the unified and enola models and
+        :func:`total_runtime` all take their run time from here."""
+        total = 0.0
+        for duration in self.stage_durations(move_time):
+            total += duration
+        return total
+
     def breakdown(
         self, model: str, *, f_decoherence: float, f_gates: float, f_movements: float,
         t_total_us: float, t_idle_us: float,
@@ -228,12 +238,12 @@ def total_runtime(program: Program, spec: ArchitectureSpec) -> tuple[float, list
     The program must be legal under grid simulation; IllegalStage propagates.
     """
     trace = trace_program(program, spec)
-    durations = trace.stage_durations(lambda cells: move_duration(cells, spec))
+    move_time = lambda cells: move_duration(cells, spec)
     timings = [
         StageTiming(duration, _KINDS[gate_us is not None, move_cells is not None])
-        for duration, (gate_us, move_cells) in zip(durations, trace.stages)
+        for duration, (gate_us, move_cells) in zip(trace.stage_durations(move_time), trace.stages)
     ]
-    return sum(t.duration_us for t in timings), timings
+    return trace.run_time_us(move_time), timings
 
 
 def decoherence_fidelity(t_idle_us: float, t_eff_us: float) -> float:
@@ -251,10 +261,7 @@ def movement_fidelity(move_count: int, transfer_fidelity: float) -> float:
 def evaluate_unified(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
     """Evaluate the unified model; see the module docstring for the formulas."""
     trace = trace_program(program, spec)
-    # a plain running sum; the built-in sum() compensates rounding from 3.12 on
-    t_total = 0.0
-    for duration in trace.stage_durations(lambda cells: move_duration(cells, spec)):
-        t_total += duration
+    t_total = trace.run_time_us(lambda cells: move_duration(cells, spec))
     t_idle = spec.qubit_count * t_total - trace.gate_time_us
     return trace.breakdown(
         UNIFIED,

@@ -126,12 +126,10 @@ def evaluate_enola(
     below zero, where the first-order approximation stops being meaningful.
     """
     trace = trace_program(program, spec)
-    t_total = 0.0
-    for duration in trace.stage_durations(
+    t_total = trace.run_time_us(
         lambda cells: 2.0 * spec.aod_transfer_time
         + travel_time(cells * spec.inter_qubit_distance, spec)
-    ):
-        t_total += duration
+    )
 
     idle_factors = []
     t_idle = 0.0

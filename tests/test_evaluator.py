@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +17,14 @@ from na_evalkit import (
     evaluate_unified,
     initial_state,
     instruction_duration,
+    parse_architecture,
     parse_program,
     total_runtime,
 )
 from na_evalkit.errors import IllegalStage, NegativeIdleTime, UnknownGate
-from na_evalkit.evaluator import StageKind, decoherence_fidelity, movement_fidelity
+from na_evalkit.evaluator import (
+    StageKind, decoherence_fidelity, move_duration, movement_fidelity,
+)
 from helpers import make_spec, random_legal_program, random_stage
 
 # stage shapes mirror the golden example but land on cells that keep every
@@ -223,3 +227,57 @@ def test_incremental_matches_batch():
         assert dasatom.t_idle_us == pytest.approx(n * dasatom_total - cz * t_cz, rel=1e-12)
         for b in (batch, enola, dasatom):
             assert b.busy_us == pytest.approx(busy, rel=1e-12)
+
+
+# --- one run-time sum -------------------------------------------------------
+
+def _running_sum(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _assert_run_times_are_one_running_sum(program, spec) -> list[float]:
+    """Every run time must be the stage maxima added one by one in stage
+    order, exactly; returns the unified stage durations."""
+    def stage_maxima(move_time):
+        return [
+            max(
+                move_time(cell_distance(op.src, op.dst, spec.grid_side)) if isinstance(op, Move)
+                else spec.gate_times[op.name]
+                for op in stage.ops
+            )
+            for stage in program.stages
+        ]
+
+    unified = stage_maxima(lambda cells: move_duration(cells, spec))
+    t_total, timings = total_runtime(program, spec)
+    assert [t.duration_us for t in timings] == unified
+    assert t_total == _running_sum(unified)
+    assert evaluate_unified(program, spec).t_total_us == t_total
+    enola = stage_maxima(
+        lambda cells: 2.0 * spec.aod_transfer_time
+        + cells * spec.inter_qubit_distance / spec.move_speed**2
+    )
+    assert evaluate_enola(program, spec).t_total_us == _running_sum(enola)
+    return unified
+
+
+@pytest.mark.parametrize("case", ["dense", "table1"])
+@pytest.mark.parametrize("circuit", ["circuit", "collapsed"])
+def test_run_time_is_one_running_sum_on_the_golden_circuits(case, circuit):
+    directory = Path(__file__).parent / "golden" / case
+    spec = parse_architecture((directory / "arch.json").read_text(encoding="utf-8"))
+    program = parse_program((directory / f"{circuit}.rsqasm").read_text(encoding="utf-8"))
+    durations = _assert_run_times_are_one_running_sum(program, spec)
+    # a compensated sum (math.fsum, or sum() from Python 3.12 on) differs
+    # here, so these circuits catch any run time that switches to one
+    assert math.fsum(durations) != _running_sum(durations)
+
+
+def test_run_time_is_one_running_sum_on_seeded_programs():
+    for seed in range(30):
+        rng = random.Random(seed)
+        spec = make_spec(side=6, n_qubits=8, move_speed=0.3 + rng.random())
+        _assert_run_times_are_one_running_sum(random_legal_program(rng, spec, 12), spec)
