@@ -16,11 +16,10 @@ from .arch import (
 from .errors import EvalKitError
 from .evaluator import (
     FidelityBreakdown,
-    StageKind,
-    StageTiming,
+    ProgramTrace,
     evaluate_unified,
     instruction_duration,
-    total_runtime,
+    trace_program,
 )
 from .grid import GridState, StageDiagnosis, apply_stage, cell_distance, initial_state, simulate, validate_stage
 from .ingest import FlatBarrier, FlatCircuit, FlatGate, parse_flat_qasm, to_rsqasm
@@ -60,10 +59,9 @@ __all__ = [
     "apply_stage",
     "simulate",
     "FidelityBreakdown",
-    "StageTiming",
-    "StageKind",
+    "ProgramTrace",
+    "trace_program",
     "instruction_duration",
-    "total_runtime",
     "evaluate_unified",
     "Model",
     "evaluate_model",

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 from . import __version__, grid, normalize
 from .arch import ArchitectureSpec, parse_architecture
@@ -108,10 +109,20 @@ def _read(path: str, malformed: type[EvalKitError]) -> str:
         raise malformed(f"{path} is not valid UTF-8: {exc}") from None
 
 
+def _load_arch(path: str) -> ArchitectureSpec:
+    """Parse a hardware file, printing its unknown-key warnings to stderr as
+    ``warning: ...`` lines in the order they arise, also when the parse fails."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return parse_architecture(_read(path, MalformedDocument))
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+
+
 def _load(circuit_path: str, arch_path: str) -> tuple[Program, ArchitectureSpec]:
-    program = parse_program(_read(circuit_path, RsqasmSyntaxError))
-    spec = parse_architecture(_read(arch_path, MalformedDocument))
-    return program, spec
+    return parse_program(_read(circuit_path, RsqasmSyntaxError)), _load_arch(arch_path)
 
 
 def _fields(obj, columns: list[tuple[str, str]]) -> dict:
@@ -190,7 +201,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec = parse_architecture(_read(args.arch, MalformedDocument))
+    spec = _load_arch(args.arch)
     rows = []
     failed = False
     for path in args.circuits:
@@ -223,7 +234,7 @@ _WHATIF_COLUMNS = [
 
 
 def cmd_whatif(args) -> int:
-    spec = parse_architecture(_read(args.arch, MalformedDocument))
+    spec = _load_arch(args.arch)
     result = whatif_collapse(
         WhatIfInput(
             old_t_idle_us=args.old_idle,

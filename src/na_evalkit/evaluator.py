@@ -25,8 +25,7 @@ is the pair of trap transfers per move counted in f_movements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable
 
 from . import grid
@@ -37,29 +36,12 @@ from .rsqasm import Instruction, Move, Program
 UNIFIED = "unified"
 
 
-class StageKind(Enum):
-    GATE = "gate"
-    MOVE = "move"
-    MIXED = "mixed"
-
-
-@dataclass(frozen=True)
-class StageTiming:
-    duration_us: float
-    kind: StageKind
-
-
-# (has a gate, has a move) -> kind
-_KINDS = {
-    (True, False): StageKind.GATE,
-    (False, True): StageKind.MOVE,
-    (True, True): StageKind.MIXED,
-}
-
-
 @dataclass(frozen=True)
 class FidelityBreakdown:
-    """Per-circuit metrics shared by every model (``model`` names which one)."""
+    """One model's numbers for a circuit (``model`` names which one).
+
+    Per-stage and per-atom facts live on :class:`ProgramTrace`, not here.
+    """
 
     model: str
     f_decoherence: float
@@ -74,7 +56,6 @@ class FidelityBreakdown:
     move_count: int
     total_move_distance_cells: float
     stage_count: int
-    busy_us: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -89,6 +70,10 @@ class ProgramTrace:
     per-stage sums. ``busy_us`` is the time each atom spent inside gates: a
     two-qubit gate counts its full duration toward both participants, and
     movement never counts.
+
+    It is the one record of per-stage and per-atom facts: the stage shape is
+    the None pattern of ``stages``, and a model's per-stage durations come
+    from :meth:`stage_durations` with that model's move time.
     """
 
     stages: tuple[tuple[float | None, float | None], ...]
@@ -100,7 +85,6 @@ class ProgramTrace:
     move_count: int
     move_distance_cells: float
     busy_us: dict[int, float]
-    final_state: grid.GridState
 
     def stage_durations(self, move_time: Callable[[float], float]) -> list[float]:
         """Per-stage run time: the slower of the longest gate and the longest
@@ -119,18 +103,20 @@ class ProgramTrace:
     def run_time_us(self, move_time: Callable[[float], float]) -> float:
         """Total run time: the stage durations added one by one in stage order.
         A plain running sum, since the built-in sum() compensates rounding
-        from Python 3.12 on; the unified and enola models and
-        :func:`total_runtime` all take their run time from here."""
+        from Python 3.12 on; the unified and enola models both take their run
+        time from here."""
         total = 0.0
         for duration in self.stage_durations(move_time):
             total += duration
         return total
 
     def breakdown(
-        self, model: str, *, f_decoherence: float, f_gates: float, f_movements: float,
+        self, model: str, spec: ArchitectureSpec, *, f_decoherence: float, f_gates: float,
         t_total_us: float, t_idle_us: float,
     ) -> FidelityBreakdown:
-        """A model's breakdown, with the counts that every model shares."""
+        """A model's breakdown, with the counts and the movement fidelity that
+        every model shares."""
+        f_movements = movement_fidelity(self.move_count, spec.transfer_fidelity)
         return FidelityBreakdown(
             model=model,
             f_decoherence=f_decoherence,
@@ -145,7 +131,6 @@ class ProgramTrace:
             move_count=self.move_count,
             total_move_distance_cells=self.move_distance_cells,
             stage_count=len(self.stages),
-            busy_us=self.busy_us,
         )
 
 
@@ -200,7 +185,6 @@ def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
         move_count=move_count,
         move_distance_cells=move_distance,
         busy_us=busy,
-        final_state=grid.GridState(side, occupancy),
     )
 
 
@@ -232,20 +216,6 @@ def instruction_duration(instruction: Instruction, spec: ArchitectureSpec) -> fl
     return gate_duration(instruction.name, spec)
 
 
-def total_runtime(program: Program, spec: ArchitectureSpec) -> tuple[float, list[StageTiming]]:
-    """Total run time and per-stage timings under the unified duration model.
-
-    The program must be legal under grid simulation; IllegalStage propagates.
-    """
-    trace = trace_program(program, spec)
-    move_time = lambda cells: move_duration(cells, spec)
-    timings = [
-        StageTiming(duration, _KINDS[gate_us is not None, move_cells is not None])
-        for duration, (gate_us, move_cells) in zip(trace.stage_durations(move_time), trace.stages)
-    ]
-    return trace.run_time_us(move_time), timings
-
-
 def decoherence_fidelity(t_idle_us: float, t_eff_us: float) -> float:
     """exp(-t_idle / t_eff); raises NegativeIdleTime for t_idle < 0."""
     if t_idle_us < 0:
@@ -265,9 +235,9 @@ def evaluate_unified(program: Program, spec: ArchitectureSpec) -> FidelityBreakd
     t_idle = spec.qubit_count * t_total - trace.gate_time_us
     return trace.breakdown(
         UNIFIED,
+        spec,
         f_decoherence=decoherence_fidelity(t_idle, effective_coherence_time(spec)),
         f_gates=trace.f_gates,
-        f_movements=movement_fidelity(trace.move_count, spec.transfer_fidelity),
         t_total_us=t_total,
         t_idle_us=t_idle,
     )

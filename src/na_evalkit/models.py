@@ -93,9 +93,9 @@ def evaluate_dasatom(program: Program, spec: ArchitectureSpec) -> FidelityBreakd
     t_idle = spec.qubit_count * t_total - trace.cz_gates * t_cz
     return trace.breakdown(
         Model.DASATOM.value,
+        spec,
         f_decoherence=decoherence_fidelity(t_idle, spec.t2),
         f_gates=f_cz**trace.cz_gates,
-        f_movements=movement_fidelity(trace.move_count, spec.transfer_fidelity),
         t_total_us=t_total,
         t_idle_us=t_idle,
     )
@@ -148,9 +148,9 @@ def evaluate_enola(
     f_cz = gate_fidelity("cz", spec)
     return trace.breakdown(
         Model.ENOLA.value,
+        spec,
         f_decoherence=math.prod(idle_factors),
         f_gates=f_cz**g2 * spec.excitement_fidelity**exposure_exponent,
-        f_movements=movement_fidelity(trace.move_count, spec.transfer_fidelity),
         t_total_us=t_total,
         t_idle_us=t_idle,
     )

@@ -21,7 +21,7 @@ not inside a name or a number. Only rx, ry and rz take an angle in radians,
 ``rz(0.5) q[3];``, written ``[+-]? (D+ [. D*] | . D+) ([eE] [+-]? D+)?`` for
 an ASCII digit D, so ``inf``, ``nan`` and ``1_0`` are rejected; ``move``
 takes none. Blank lines and lines starting with ``//`` are skipped; there,
-and around the header, any Unicode whitespace counts. ``//`` after an
+and around the header, blanks are spaces and tabs too. ``//`` after an
 instruction is an error.
 """
 
@@ -216,7 +216,7 @@ def _parse_stage_line(text: str, line_no: int) -> Stage:
 
 
 def _is_comment(line: str) -> bool:
-    return line.lstrip().startswith("//")
+    return line.lstrip(" \t").startswith("//")
 
 
 def parse_program(document: str | bytes) -> Program:
@@ -233,14 +233,14 @@ def parse_program(document: str | bytes) -> Program:
         except UnicodeDecodeError as exc:
             raise RsqasmSyntaxError(f"document is not valid UTF-8: {exc}") from None
 
-    header: tuple[int, int] | None = None
+    header: Program | None = None
     stages: list[Stage] = []
     for line_no, raw in enumerate(document.split("\n"), start=1):
         line = raw.rstrip("\r")
-        if not line.strip() or _is_comment(line):
+        if not line.strip(" \t") or _is_comment(line):
             continue
         if header is None:
-            m = _HEADER_RE.match(line.strip())
+            m = _HEADER_RE.match(line.strip(" \t"))
             if m is None:
                 raise MissingHeader(
                     "expected header of the form 'RSQASM <major>.<minor>;'", line_no, 1
@@ -249,14 +249,12 @@ def parse_program(document: str | bytes) -> Program:
                 major, minor = int(m.group(1)), int(m.group(2))
             except ValueError:  # more digits than int() converts
                 raise UnsupportedVersion("version number has too many digits", line_no, 1) from None
-            if major != 1:
-                raise UnsupportedVersion(f"unsupported major version {major}", line_no, 1)
-            header = (major, minor)
+            header = _located(line_no, 1, Program, major, minor)
             continue
         stages.append(_parse_stage_line(line, line_no))
     if header is None:
         raise MissingHeader("document has no header line")
-    return Program(header[0], header[1], tuple(stages))
+    return Program(header.version_major, header.version_minor, tuple(stages))
 
 
 def _render_instruction(op: Instruction) -> str:

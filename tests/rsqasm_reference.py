@@ -6,7 +6,8 @@ a cursor and one regex match per token; the one-pattern-per-instruction parser
 must give an equal :class:`Program` or the same error class, line and column.
 Its patterns use ``\\d`` without ``re.ASCII``, so it accepts non-ASCII decimal
 digits; that acceptance is the defect the new parser fixes, not a behaviour
-to match.
+to match. Likewise its blank, comment and header tests strip any Unicode
+whitespace, where the new parser strips only spaces and tabs.
 """
 
 from __future__ import annotations
@@ -29,9 +30,13 @@ from na_evalkit.rsqasm import (
     Move,
     Program,
     Stage,
-    _is_comment,
     _located,
 )
+
+
+def _is_comment(line: str) -> bool:
+    return line.lstrip().startswith("//")
+
 
 _HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;[ \t]*$")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

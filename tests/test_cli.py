@@ -287,3 +287,65 @@ def test_golden_circuit_parses_but_fails_validation(files, tmp_path, capsys):
     arch.write_text(arch_document(cells=[0, 1, 2, 3, 5]))
     assert main(["validate", str(circuit), str(arch)]) == 2
     assert "stage 3" in capsys.readouterr().err
+
+# --- unknown hardware keys ----------------------------------------------------
+
+_UNKNOWN_KEY_LINES = [
+    "warning: ignoring unknown key futureTop",
+    "warning: ignoring unknown key parameters.Qubits[1].colour",
+    "warning: ignoring unknown key parameters.decoherenceTimes.t3",
+]
+
+
+def _arch_with_unknown_keys(path, **edits) -> str:
+    document = json.loads(arch_document())
+    document["futureTop"] = 1
+    document["parameters"]["Qubits"][1]["colour"] = "red"
+    document["parameters"]["decoherenceTimes"]["t3"] = 5
+    document["properties"].update(edits)
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+def test_unknown_keys_warn_in_the_cli_format(files, tmp_path):
+    # a fresh interpreter, so Python's own warning display would show here
+    arch = _arch_with_unknown_keys(tmp_path / "future.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "na_evalkit", "validate", files["circuit"], arch],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == _UNKNOWN_KEY_LINES
+    assert "cli.py" not in proc.stderr and "UserWarning" not in proc.stderr
+    assert proc.stdout == "ok: 3 stage(s), 30 atom(s)\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "whatif"])
+def test_unknown_keys_leave_stdout_and_exit_code_alone(files, tmp_path, capsys, command):
+    def argv(arch):
+        return {
+            "evaluate": ["evaluate", files["circuit"], arch, "--format", "json"],
+            "compare": ["compare", files["circuit"], "--arch", arch, "--format", "json"],
+            "whatif": ["whatif", arch, "--old-idle", "100", "--saved-distance", "1",
+                       "--moves-before", "2", "--moves-after", "1", "--n", "30"],
+        }[command]
+
+    assert main(argv(files["arch"])) == 0
+    clean = capsys.readouterr()
+    arch = _arch_with_unknown_keys(tmp_path / "future.json")
+    assert main(argv(arch)) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == _UNKNOWN_KEY_LINES
+    # the report names its architecture file; nothing else may change
+    assert captured.out == clean.out.replace(files["arch"], arch)
+    assert clean.err == ""
+
+
+def test_unknown_keys_warn_before_a_failed_parse(files, tmp_path, capsys):
+    arch = _arch_with_unknown_keys(tmp_path / "bad.json", interQubitDistance=-1)
+    assert main(["validate", files["circuit"], arch]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: ignoring unknown key futureTop",
+        "error[InvalidValue]: properties.interQubitDistance: must be > 0, got -1.0",
+    ]

@@ -19,12 +19,10 @@ from na_evalkit import (
     instruction_duration,
     parse_architecture,
     parse_program,
-    total_runtime,
+    trace_program,
 )
 from na_evalkit.errors import IllegalStage, NegativeIdleTime, UnknownGate
-from na_evalkit.evaluator import (
-    StageKind, decoherence_fidelity, move_duration, movement_fidelity,
-)
+from na_evalkit.evaluator import decoherence_fidelity, move_duration, movement_fidelity
 from helpers import make_spec, random_legal_program, random_stage
 
 # stage shapes mirror the golden example but land on cells that keep every
@@ -66,35 +64,39 @@ def test_unknown_gate_duration():
         instruction_duration(Gate("h", (), (0,)), spec)
 
 
+def _shape(trace) -> list[str]:
+    """Each stage's kind, read off which of its two maxima are present."""
+    kinds = {(True, False): "gate", (False, True): "move", (True, True): "mixed"}
+    return [kinds[gate is not None, move is not None] for gate, move in trace.stages]
+
+
 def test_total_runtime_stage_profile():
     # per-instruction durations by hand: [2], [0.2], [41.818], then the
     # mixed stage's maximum is its one-cell move, 41.818
     spec = make_spec(side=50, cells=LEGAL_ANALOG_CELLS)
     program = parse_program(LEGAL_ANALOG_TEXT)
-    t_total, timings = total_runtime(program, spec)
-    durations = [t.duration_us for t in timings]
+    trace = trace_program(program, spec)
+    durations = trace.stage_durations(lambda cells: move_duration(cells, spec))
     assert durations == pytest.approx([2.0, 0.2, 41.818, 41.818], abs=1e-3)
-    assert [t.kind for t in timings] == [
-        StageKind.GATE, StageKind.GATE, StageKind.MOVE, StageKind.MIXED,
-    ]
-    assert t_total == pytest.approx(85.836, abs=0.01)
+    assert _shape(trace) == ["gate", "gate", "move", "mixed"]
+    assert evaluate_unified(program, spec).t_total_us == pytest.approx(85.836, abs=0.01)
 
 
 def test_total_runtime_empty_program(table1_spec):
-    t_total, timings = total_runtime(Program(1, 0, ()), table1_spec)
-    assert t_total == 0.0 and timings == []
+    program = Program(1, 0, ())
+    assert trace_program(program, table1_spec).stages == ()
+    assert evaluate_unified(program, table1_spec).t_total_us == 0.0
 
 
 def test_parallel_gates_share_stage_duration(table1_spec):
     program = parse_program("RSQASM 1.0;\ncz q[0], q[1];cz q[2], q[3];\n")
-    t_total, _ = total_runtime(program, table1_spec)
-    assert t_total == pytest.approx(0.2)
+    assert evaluate_unified(program, table1_spec).t_total_us == pytest.approx(0.2)
 
 
 def test_total_runtime_requires_legality(table1_spec):
     program = parse_program("RSQASM 1.0;\nmove q[40], q[41];\n")
     with pytest.raises(IllegalStage):
-        total_runtime(program, table1_spec)
+        evaluate_unified(program, table1_spec)
 
 
 def test_single_cz_breakdown(table1_spec):
@@ -107,9 +109,10 @@ def test_single_cz_breakdown(table1_spec):
     t_eff = effective_coherence_time(table1_spec)
     assert b.asp == pytest.approx(0.9996 * math.exp(-5.8 / t_eff))
     assert b.gate_count == 1 and b.two_qubit_gate_count == 1
-    assert b.busy_us[0] == pytest.approx(0.2)
-    assert b.busy_us[1] == pytest.approx(0.2)
-    assert b.busy_us[2] == 0.0
+    busy = trace_program(program, table1_spec).busy_us
+    assert busy[0] == pytest.approx(0.2)
+    assert busy[1] == pytest.approx(0.2)
+    assert busy[2] == 0.0
 
 
 def test_empty_program_is_perfect(table1_spec):
@@ -225,8 +228,8 @@ def test_incremental_matches_batch():
         dasatom = evaluate_dasatom(program, spec)
         assert dasatom.t_total_us == pytest.approx(dasatom_total, rel=1e-12)
         assert dasatom.t_idle_us == pytest.approx(n * dasatom_total - cz * t_cz, rel=1e-12)
-        for b in (batch, enola, dasatom):
-            assert b.busy_us == pytest.approx(busy, rel=1e-12)
+        # every model reads its busy times from this one trace
+        assert trace_program(program, spec).busy_us == pytest.approx(busy, rel=1e-12)
 
 
 # --- one run-time sum -------------------------------------------------------
@@ -251,11 +254,10 @@ def _assert_run_times_are_one_running_sum(program, spec) -> list[float]:
             for stage in program.stages
         ]
 
-    unified = stage_maxima(lambda cells: move_duration(cells, spec))
-    t_total, timings = total_runtime(program, spec)
-    assert [t.duration_us for t in timings] == unified
-    assert t_total == _running_sum(unified)
-    assert evaluate_unified(program, spec).t_total_us == t_total
+    unified_move_time = lambda cells: move_duration(cells, spec)
+    unified = stage_maxima(unified_move_time)
+    assert trace_program(program, spec).stage_durations(unified_move_time) == unified
+    assert evaluate_unified(program, spec).t_total_us == _running_sum(unified)
     enola = stage_maxima(
         lambda cells: 2.0 * spec.aod_transfer_time
         + cells * spec.inter_qubit_distance / spec.move_speed**2

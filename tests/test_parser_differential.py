@@ -2,11 +2,13 @@
 
 ``rsqasm_reference`` is the token-by-token parser that ``parse_program``
 replaced. On every input both must give an equal :class:`Program`, or raise
-the same error class at the same line and column. Two differences are
+the same error class at the same line and column. Three differences are
 intended: an error found inside an operand (a missing ``[``, index or ``]``)
 now reads ``expected operand of the form q[<uint>]`` at the operand's first
-character, and non-ASCII decimal digits, which the reference accepts, are now
-rejected.
+character; non-ASCII decimal digits, which the reference accepts, are now
+rejected; and blank, comment and header lines strip only spaces and tabs, so
+a line that the reference reads as blank, a comment or the header only after
+stripping other Unicode whitespace is now an error.
 """
 
 import re
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rsqasm_reference as reference
 from na_evalkit import Gate, Move, Program, Stage, parse_flat_qasm, parse_program
-from na_evalkit.errors import EvalKitError, RsqasmError, RsqasmSyntaxError
+from na_evalkit.errors import EvalKitError, MissingHeader, RsqasmError, RsqasmSyntaxError
 from na_evalkit.rsqasm import serialize_program
 
 _INSIDE_OPERAND = ("expected '['", "expected a nonnegative cell index", "expected ']'")
@@ -44,17 +46,31 @@ def _first_non_ascii_digit_line(document: str) -> int | None:
     return None
 
 
+def _first_non_blank_whitespace_line(document: str) -> int | None:
+    """The first line, outside comments, whose ends hold whitespace other
+    than spaces and tabs."""
+    for number, raw in enumerate(document.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if line.strip() != line.strip(" \t") and not line.lstrip(" \t").startswith("//"):
+            return number
+    return None
+
+
+def _errs_before(outcome, line: int) -> bool:
+    return isinstance(outcome, RsqasmError) and outcome.line is not None and outcome.line < line
+
+
 def _assert_same_outcome(document: str):
     expected = _outcome(reference.parse_program, document)
     got = _outcome(parse_program, document)
-    digit_line = _first_non_ascii_digit_line(document)
-    if digit_line is not None and not (
-        isinstance(expected, RsqasmError) and expected.line is not None
-        and expected.line < digit_line
+    # the reference reads these digits as numbers, and strips any Unicode
+    # whitespace around blank, comment and header lines; both are defects
+    for special_line in (
+        _first_non_ascii_digit_line(document), _first_non_blank_whitespace_line(document)
     ):
-        # the reference reads these digits as numbers; that is the defect
-        assert isinstance(got, RsqasmError), (document, got)
-        return
+        if special_line is not None and not _errs_before(expected, special_line):
+            assert isinstance(got, RsqasmError), (document, got)
+            return
     if isinstance(expected, Program):
         assert got == expected, document
         return
@@ -169,6 +185,10 @@ def _mutated_documents(draw):
 @example("RSQASM 1.0;\nmove(0.5) q[0], q[1];\n")
 @example("RSQASM 1.0;\nh q[٣];\n")
 @example("RSQASM 1.0;\nh q[0], q[" + "9" * 5000 + "];\n")
+@example("\u3000RSQASM 1.0;\nh q[0];\n")
+@example("RSQASM 1.0;\n\x0c\nh q[0];\n")
+@example("RSQASM 1.0;\n\u3000// c\n")
+@example("RSQASM 1.0;\nh q[0]; // c\u3000\n// c\u3000\n")
 def test_mutated_documents_give_the_same_outcome(document):
     _assert_same_outcome(document)
 
@@ -217,3 +237,18 @@ def test_operand_errors_point_at_the_operand():
             parse_program(f"RSQASM 1.0;\n{line}\n")
         assert (info.value.line, info.value.column) == (2, column), line
         assert _message(info.value) == _OPERAND_FORM
+
+
+@pytest.mark.parametrize("document, error, line, column", [
+    ("\u3000RSQASM 1.0;\n", MissingHeader, 1, 1),
+    ("RSQASM 1.0;\n\x0c\n", RsqasmSyntaxError, 2, 1),
+    ("RSQASM 1.0;\n\u3000// c\n", RsqasmSyntaxError, 2, 1),
+    ("RSQASM 1.0;\n\u3000h q[0];\n", RsqasmSyntaxError, 2, 1),
+], ids=["header", "form-feed-line", "comment", "stage"])
+def test_only_spaces_and_tabs_are_blanks(document, error, line, column):
+    with pytest.raises(error) as info:
+        parse_program(document)
+    assert (type(info.value), info.value.line, info.value.column) == (error, line, column)
+    # the reference strips other Unicode whitespace too, except in a stage
+    if "h q[0]" not in document:
+        assert reference.parse_program(document) == Program(1, 0, ())
