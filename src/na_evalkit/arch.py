@@ -26,7 +26,7 @@ Times are microseconds, lengths micrometers, speeds micrometers per
 microsecond. Qubit coordinates are screen-space (x column, y row, origin at
 the top-left corner). Every number must be finite; ``NaN`` and ``Infinity``
 are rejected. ``excitementFidelity`` is optional and defaults to 1.0.
-Unknown keys are ignored with a warning so newer documents stay readable.
+Unknown keys, non-native gate names too, only warn so newer documents stay readable.
 Keys are read in the order shown, each fully checked before the next.
 """
 
@@ -149,10 +149,11 @@ def _checked(convert, ok, message: str, error=InvalidValue):
 
 
 def _gate_map(read_value, field: str) -> _Leaf:
-    """A gate-name map, written sorted; every native gate needs an entry."""
-    def read(value, path: str, reading=None) -> dict[str, float]:
+    """A gate-name map, written sorted; each native gate needs an entry, others are unknown."""
+    def read(value, path: str, reading: _Reading) -> dict[str, float]:
         obj = _as_object(value, path)
-        out = {name: read_value(v, f"{path}.{name}") for name, v in obj.items()}
+        reading.unknown += [f"ignoring unknown key {path}.{n}" for n in obj if n not in NATIVE_GATES]
+        out = {n: read_value(v, f"{path}.{n}") for n, v in obj.items() if n in NATIVE_GATES}
         missing = sorted(NATIVE_GATES - out.keys())
         if missing:
             raise MissingField(f"missing native gate entries: {', '.join(missing)}", path)

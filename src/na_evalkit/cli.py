@@ -111,7 +111,8 @@ def _read(path: str, malformed: type[EvalKitError]) -> str:
 
 def _load_arch(path: str) -> ArchitectureSpec:
     """Parse a hardware file, printing its unknown-key warnings to stderr as
-    ``warning: ...`` lines in the order they arise, also when the parse fails."""
+    ``warning: ...`` lines, also when the parse fails. They come object by
+    object, not in text order: an object's own before its nested objects'."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -147,31 +147,35 @@ def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
     g1 = g2 = cz = move_count = 0
     gate_time = move_distance = 0.0
     f_gates = 1.0
+    gates: dict[str, tuple[float, float]] = {}  # name -> (duration, fidelity), at first sight
     for index, stage in enumerate(program.stages):
         grid.advance(occupancy, side, stage, index)
         # no gate shares a cell with a move, so each gate's atoms stay put
         longest_gate = longest_move = None
         stage_distance = 0.0
-        for op in stage.ops:
-            if isinstance(op, Move):
+        for op in stage:
+            if type(op) is Move:
                 distance = grid.cell_distance(op.src, op.dst, side)
                 stage_distance += distance
                 move_count += 1
                 if longest_move is None or distance > longest_move:
                     longest_move = distance
                 continue
-            duration = gate_duration(op.name, spec)
+            name, operands = op.name, op.operands
+            if name not in gates:
+                gates[name] = gate_duration(name, spec), gate_fidelity(name, spec)
+            duration, fidelity = gates[name]
             gate_time += duration
-            f_gates *= gate_fidelity(op.name, spec)
+            f_gates *= fidelity
             if longest_gate is None or duration > longest_gate:
                 longest_gate = duration
-            if len(op.operands) == 2:
+            if len(operands) == 2:
                 g2 += 1
             else:
                 g1 += 1
-            if op.name == "cz":
+            if name == "cz":
                 cz += 1
-            for cell in op.operands:
+            for cell in operands:
                 busy[occupancy[cell]] += duration
         move_distance += stage_distance
         stages.append((longest_gate, longest_move))

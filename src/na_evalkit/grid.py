@@ -72,6 +72,9 @@ class GridState:
         return {atom: cell for cell, atom in self.occupancy.items()}
 
 
+_LEGAL = StageDiagnosis()
+
+
 def initial_state(spec: ArchitectureSpec) -> GridState:
     """Place every declared qubit on its initial cell; all other traps empty."""
     side = spec.grid_side
@@ -103,18 +106,27 @@ def validate_stage(
     two-qubit gates spanning a larger distance produce an advisory warning,
     never a violation.
     """
-    violations: list[Violation] = []
-    warnings: list[str] = []
     occupied = state.occupancy
     limit = state.cell_count
+    if interaction_radius is None:  # one cheap pass finds a legal stage
+        for op in stage:
+            if type(op) is Move:
+                src, dst = op.src, op.dst
+                if src not in occupied or dst in occupied or src >= limit or dst >= limit:
+                    break
+            else:
+                first, last = op.operands[0], op.operands[-1]  # a gate has one or two
+                if first not in occupied or last not in occupied or first >= limit or last >= limit:
+                    break
+        else:
+            return _LEGAL
 
-    for i, op in enumerate(stage.ops):
-        in_range = True
-        for cell in op.cells:
-            if cell >= limit:
-                violations.append(Violation(ViolationKind.CELL_OUT_OF_RANGE, i, cell))
-                in_range = False
-        if not in_range:
+    violations: list[Violation] = []
+    warnings: list[str] = []
+    for i, op in enumerate(stage):
+        outside = [Violation(ViolationKind.CELL_OUT_OF_RANGE, i, c) for c in op.cells if c >= limit]
+        if outside:
+            violations += outside
             continue
         if isinstance(op, Gate):
             for cell in op.operands:
@@ -131,7 +143,6 @@ def validate_stage(
                     f"{op.operands[1]} are farther apart than radius {interaction_radius}"
                 )
         else:
-            assert isinstance(op, Move)
             if op.src not in occupied:
                 violations.append(Violation(ViolationKind.MOVE_FROM_EMPTY_CELL, i, op.src))
             if op.dst in occupied:
@@ -157,7 +168,7 @@ def advance(
     diagnosis = validate_stage(GridState(side, occupancy), stage, interaction_radius)
     if not diagnosis.legal:
         raise IllegalStage(str(diagnosis), diagnosis, stage_index)
-    for op in stage.ops:
+    for op in stage:
         if isinstance(op, Move):
             occupancy[op.dst] = occupancy.pop(op.src)
     return diagnosis

@@ -236,7 +236,7 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
         raise IllegalInput(f"program is not executable: {exc}") from exc
     side = spec.grid_side
 
-    work = [list(stage.ops) for stage in program.stages]
+    work = [list(stage) for stage in program.stages]
     moves_before, distance_before = _move_stats(work, side)
     rewrite = _Pass(work)
     rewrite.run()

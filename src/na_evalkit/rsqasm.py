@@ -22,7 +22,8 @@ not inside a name or a number. Only rx, ry and rz take an angle in radians,
 an ASCII digit D, so ``inf``, ``nan`` and ``1_0`` are rejected; ``move``
 takes none. Blank lines and lines starting with ``//`` are skipped; there,
 and around the header, blanks are spaces and tabs too. ``//`` after an
-instruction is an error.
+instruction is an error. Instructions and stages are immutable records checked
+by their constructors, not dataclasses: tuples of their fields or instructions.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     ArityError,
@@ -54,76 +56,91 @@ def gate_arity(name: str) -> int:
     return 2 if name in TWO_QUBIT_GATES else 1
 
 
-@dataclass(frozen=True)
-class Gate:
+class _Record(tuple):
+    """An immutable record of the fields in ``__match_args__``, equal only to its own type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):  # never equal to a plain tuple or another record type
+            return type(other) is type(self) and tuple.__eq__(self, other)
+        return NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):  # copy and pickle rebuild a record through __new__
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Gate(_Record):
     """A native gate applied to one or two grid cells."""
 
-    name: str
-    params: tuple[float, ...]
-    operands: tuple[int, ...]
+    __slots__ = ()
+    __match_args__ = ("name", "params", "operands")
+    _shapes = {name: (int(name in ONE_PARAM_GATES), gate_arity(name)) for name in NATIVE_GATES}
+    name = property(itemgetter(0))
+    params = property(itemgetter(1))
+    operands = cells = property(itemgetter(2))
 
-    def __post_init__(self):
-        if self.name not in NATIVE_GATES:
-            raise UnknownInstruction(f"unknown gate {self.name!r}")
-        want_params = 1 if self.name in ONE_PARAM_GATES else 0
-        if len(self.params) != want_params:
-            raise ParamError(
-                f"{self.name} takes {want_params} parameter(s), got {len(self.params)}"
-            )
-        for p in self.params:
-            if not math.isfinite(p):
-                raise ParamError(f"{self.name} parameter must be finite, got {p!r}")
-        if len(self.operands) != gate_arity(self.name):
-            raise ArityError(
-                f"{self.name} takes {gate_arity(self.name)} operand(s), "
-                f"got {len(self.operands)}"
-            )
-        if any(c < 0 for c in self.operands):
-            raise RsqasmSyntaxError(f"negative cell index in {self.name}")
-
-    @property
-    def cells(self) -> tuple[int, ...]:
-        return self.operands
+    def __new__(cls, name: str, params: tuple[float, ...], operands: tuple[int, ...]):
+        want_params, arity = cls._shapes.get(name, (None, None))
+        if want_params is None:
+            raise UnknownInstruction(f"unknown gate {name!r}")
+        if len(params) != want_params:
+            raise ParamError(f"{name} takes {want_params} parameter(s), got {len(params)}")
+        if params and not math.isfinite(params[0]):
+            raise ParamError(f"{name} parameter must be finite, got {params[0]!r}")
+        if len(operands) != arity:
+            raise ArityError(f"{name} takes {arity} operand(s), got {len(operands)}")
+        if operands[0] < 0 or operands[-1] < 0:
+            raise RsqasmSyntaxError(f"negative cell index in {name}")
+        return tuple.__new__(cls, (name, params, operands))
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(_Record):
     """Relocation of the atom at cell ``src`` to the empty cell ``dst``."""
 
-    src: int
-    dst: int
+    __slots__ = ()
+    __match_args__ = ("src", "dst")
+    src = property(itemgetter(0))
+    dst = property(itemgetter(1))
+    cells = property(tuple)  # (src, dst) as a plain tuple
 
-    def __post_init__(self):
-        if self.src < 0 or self.dst < 0:
+    def __new__(cls, src: int, dst: int):
+        if src < 0 or dst < 0:
             raise RsqasmSyntaxError("negative cell index in move")
-        if self.src == self.dst:
-            raise DuplicateCellInStage(f"move with identical source and target cell {self.src}")
-
-    @property
-    def cells(self) -> tuple[int, ...]:
-        return (self.src, self.dst)
+        if src == dst:
+            raise DuplicateCellInStage(f"move with identical source and target cell {src}")
+        return tuple.__new__(cls, (src, dst))
 
 
 Instruction = Gate | Move
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One line of the format: operations executed in parallel."""
+class Stage(_Record):
+    """One line of the format: the tuple of its operations, executed in parallel."""
 
-    ops: tuple[Instruction, ...]
+    __slots__ = ()
+    __match_args__ = ("ops",)
+    ops = property(tuple)  # the operations as a plain tuple
 
-    def __post_init__(self):
-        if not self.ops:
+    def __new__(cls, ops: tuple[Instruction, ...]):
+        stage = tuple.__new__(cls, ops)
+        if not stage:
             raise RsqasmSyntaxError("a stage must contain at least one instruction")
         seen: set[int] = set()
-        for op in self.ops:
+        for op in stage:
             for cell in op.cells:
                 if cell in seen:
-                    raise DuplicateCellInStage(
-                        f"cell {cell} appears in more than one operand within the stage"
-                    )
+                    message = f"cell {cell} appears in more than one operand within the stage"
+                    raise DuplicateCellInStage(message)
                 seen.add(cell)
+        return stage
 
 
 @dataclass(frozen=True)
@@ -141,16 +158,19 @@ class Program:
 
 _HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;[ \t]*$", re.ASCII)
 
-# One instruction and the blanks after it. Every part after the name may match
-# empty, so the pattern matches anywhere but at the end of the line: the first
-# required part that is empty names the diagnostic, and its position the column.
+# One instruction and the blanks after it, with its first two cell indices and
+# any ``more`` operands. Every part after the name may match empty, so the pattern
+# matches anywhere but at the end of the line: the first required part that is
+# empty names the diagnostic, and its position the column.
 _OPERAND = r"q[ \t]*\[[ \t]*\d+[ \t]*\]"
 _INSTRUCTION_RE = re.compile(
     rf"""(?!\Z)[ \t]*(?P<name>[A-Za-z_]\w*|)[ \t]*
     (?:(?P<open>\()[ \t]*
         (?P<angle>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|)[ \t]*
         (?P<close>\)|)[ \t]*)?
-    (?P<operands>{_OPERAND}(?:[ \t]*,[ \t]*{_OPERAND})*|)[ \t]*
+    (?P<operands>q[ \t]*\[[ \t]*(?P<a>\d+)[ \t]*\]
+        (?:[ \t]*,[ \t]*q[ \t]*\[[ \t]*(?P<b>\d+)[ \t]*\]
+            (?P<more>(?:[ \t]*,[ \t]*{_OPERAND})*))?|)[ \t]*
     (?P<comma>,|)[ \t]*
     (?P<end>;|)[ \t]*""",
     re.ASCII | re.VERBOSE,
@@ -174,49 +194,54 @@ def _expected(what: str, m: re.Match, group: str, line: int) -> RsqasmSyntaxErro
     return RsqasmSyntaxError(message, line, pos + 1)
 
 
-def _parse_instruction(m: re.Match, line: int) -> Instruction:
-    name, opened, angle, close, operands, comma, end = m.groups()
-    col = m.start("name") + 1
-    if name == MOVE_NAME:
-        if opened:
-            raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("open") + 1)
-    elif name not in NATIVE_GATES:
-        if not name:
-            raise RsqasmSyntaxError("expected an instruction name", line, col)
-        raise UnknownInstruction(f"unknown instruction {name!r}", line, col)
-    elif opened:
-        if not angle:
-            raise ParamError(f"expected a numeric angle for {name}", line, m.start("angle") + 1)
-        if not close:
-            raise _expected("')'", m, "close", line)
+def _parse_stage_line(text: str, line: int) -> Stage:
+    """One stage; an error without a column gets its instruction's, or the stage's."""
+    ops: list[Instruction] = []
     try:
-        cells = tuple(map(int, _CELL_RE.findall(operands)))
+        for m in _INSTRUCTION_RE.finditer(text):
+            name, opened, angle, close, operands, a, b, more, comma, end = m.groups()
+            if name == MOVE_NAME:
+                if opened:
+                    raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("open") + 1)
+            elif name not in NATIVE_GATES:
+                if not name:
+                    raise RsqasmSyntaxError("expected an instruction name")
+                raise UnknownInstruction(f"unknown instruction {name!r}")
+            elif opened:
+                if not angle:
+                    column = m.start("angle") + 1
+                    raise ParamError(f"expected a numeric angle for {name}", line, column)
+                if not close:
+                    raise _expected("')'", m, "close", line)
+            if not operands:  # the first operand is malformed
+                raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("operands") + 1)
+            if more:
+                cells = tuple(map(int, _CELL_RE.findall(operands)))
+            else:
+                cells = (int(a),) if b is None else (int(a), int(b))
+            if comma:  # the operand after a comma is malformed
+                raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("end") + 1)
+            if not end:
+                raise _expected("';'", m, "end", line)
+            if name != MOVE_NAME:
+                ops.append(Gate(name, (float(angle),) if opened else (), cells))
+            elif len(cells) == 2:
+                ops.append(Move(*cells))
+            else:
+                raise ArityError(f"move takes 2 operands, got {len(cells)}")
+        m = None
+        return Stage(ops)
+    except RsqasmError as exc:
+        if exc.line is not None:
+            raise
+        # a cell shared between instructions is reported where the stage starts
+        column = m.start("name") if m else len(text) - len(text.lstrip(" \t"))
+        raise type(exc)(str(exc), line, column + 1) from None
     except ValueError:  # more digits than int() converts; point at that operand
-        text, limit = m.string, sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
         big = next(d for d in _CELL_RE.finditer(text, *m.span("operands")) if len(d[0]) > limit)
         column = text.rindex("q", 0, big.start()) + 1
         raise RsqasmSyntaxError("cell index has too many digits", line, column) from None
-    if comma or not operands:  # the first operand, or the one after a comma, is malformed
-        column = m.start("end" if operands else "operands") + 1
-        raise RsqasmSyntaxError(_OPERAND_FORM, line, column)
-    if not end:
-        raise _expected("';'", m, "end", line)
-    if name == MOVE_NAME:
-        if len(cells) != 2:
-            raise ArityError(f"move takes 2 operands, got {len(cells)}", line, col)
-        return _located(line, col, Move, *cells)
-    return _located(line, col, Gate, name, (float(angle),) if opened else (), cells)
-
-
-def _parse_stage_line(text: str, line_no: int) -> Stage:
-    ops = tuple(_parse_instruction(m, line_no) for m in _INSTRUCTION_RE.finditer(text))
-    # a cell shared between instructions is reported where the stage starts
-    start = len(text) - len(text.lstrip(" \t")) + 1
-    return _located(line_no, start, Stage, ops)
-
-
-def _is_comment(line: str) -> bool:
-    return line.lstrip(" \t").startswith("//")
 
 
 def parse_program(document: str | bytes) -> Program:
@@ -237,10 +262,11 @@ def parse_program(document: str | bytes) -> Program:
     stages: list[Stage] = []
     for line_no, raw in enumerate(document.split("\n"), start=1):
         line = raw.rstrip("\r")
-        if not line.strip(" \t") or _is_comment(line):
+        text = line.lstrip(" \t")
+        if not text or text.startswith("//"):  # a blank or comment line
             continue
         if header is None:
-            m = _HEADER_RE.match(line.strip(" \t"))
+            m = _HEADER_RE.match(text)
             if m is None:
                 raise MissingHeader(
                     "expected header of the form 'RSQASM <major>.<minor>;'", line_no, 1
@@ -260,10 +286,7 @@ def parse_program(document: str | bytes) -> Program:
 def _render_instruction(op: Instruction) -> str:
     if isinstance(op, Move):
         return f"move q[{op.src}], q[{op.dst}];"
-    if op.params:
-        head = f"{op.name}({op.params[0]!r})"
-    else:
-        head = op.name
+    head = f"{op.name}({op.params[0]!r})" if op.params else op.name
     args = ", ".join(f"q[{c}]" for c in op.operands)
     return f"{head} {args};"
 
@@ -278,5 +301,5 @@ def serialize_program(program: Program) -> str:
     """
     lines = [f"RSQASM {program.version_major}.{program.version_minor};"]
     for stage in program.stages:
-        lines.append("".join(_render_instruction(op) for op in stage.ops))
+        lines.append("".join(_render_instruction(op) for op in stage))
     return "\n".join(lines) + "\n"

@@ -3,10 +3,15 @@
 ``arch_reference`` is the hand-written ``parse_architecture`` and
 ``serialize_architecture`` that the layout table replaced. On every document
 both must give an equal spec and byte-equal serialized text, or the same error
-class and message, and the same unknown-key warnings in the same order. One
-difference is intended: the reference converts ``t1`` and ``t2`` before it
-checks either bound, while the table checks each key fully before reading the
-next, so a nonpositive ``t1`` is reported before a bad or missing ``t2``.
+class and message, and the same unknown-key warnings in the same order. Two
+differences are intended. First, the reference converts ``t1`` and ``t2``
+before it checks either bound, while the table checks each key fully before
+reading the next, so a nonpositive ``t1`` is reported before a bad or missing
+``t2``. Second, the reference takes a ``gateTimes`` or ``gateFidelities`` entry
+for a name outside ``NATIVE_GATES`` silently, into the spec and its serialized
+text; the table warns about it as an unknown key and drops it. So the reference
+reads each document with such entries removed, and the table's warnings about
+them are checked apart from the others (see ``_outcomes``).
 """
 
 import copy
@@ -19,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 import arch_reference as reference
 from na_evalkit import parse_architecture, serialize_architecture
 from na_evalkit.errors import EvalKitError, InvalidValue, MissingField
+from na_evalkit.rsqasm import NATIVE_GATES
 from helpers import arch_document
 
 _T1 = "parameters.decoherenceTimes.t1"
@@ -122,9 +128,33 @@ def _outcome(parse, serialize, document: str):
     return result, [str(w.message) for w in caught]
 
 
+def _without_unknown_gates(document: str) -> tuple[str, list[str]]:
+    """The document without its gate-map entries for names outside
+    NATIVE_GATES, and the warnings the table gives for them, in order."""
+    doc = json.loads(document)
+    parameters = doc.get("parameters") if isinstance(doc, dict) else None
+    notes = []
+    for key in ("gateTimes", "gateFidelities"):
+        gate_map = parameters.get(key) if isinstance(parameters, dict) else None
+        if isinstance(gate_map, dict):
+            for name in [name for name in gate_map if name not in NATIVE_GATES]:
+                del gate_map[name]
+                notes.append(f"ignoring unknown key parameters.{key}.{name}")
+    return (json.dumps(doc) if notes else document), notes
+
+
 def _outcomes(document: str):
-    expected = _outcome(reference.parse_architecture, reference.serialize_architecture, document)
-    return expected, _outcome(parse_architecture, serialize_architecture, document)
+    """The reference's outcome on the document without unknown gate names, and
+    the table's on the document itself, less its warnings about those names.
+    Those warnings must be exactly the expected ones: all of them when the
+    parse succeeds, and a leading part of them when it fails."""
+    cleaned, notes = _without_unknown_gates(document)
+    expected = _outcome(reference.parse_architecture, reference.serialize_architecture, cleaned)
+    result, warned = _outcome(parse_architecture, serialize_architecture, document)
+    gate_notes = [message for message in warned if message in notes]
+    parsed = not isinstance(result[0], type)
+    assert gate_notes == (notes if parsed else notes[:len(gate_notes)]), document
+    return expected, (result, [message for message in warned if message not in notes])
 
 
 def _is_decoherence_precedence(expected, got, document: str) -> bool:
@@ -227,3 +257,32 @@ def test_unknown_key_warning_as_error_still_raises():
         warnings.simplefilter("error")
         with pytest.raises(UserWarning, match="futureTop"):
             parse_architecture(_with_unknown_keys())
+
+
+def test_gate_names_outside_the_native_set_warn_and_are_dropped():
+    """A misspelt "CZ" next to "cz" warns like any unknown key, in its object's
+    turn, and neither the spec nor the serialized text keeps it."""
+    doc = json.loads(_with_unknown_keys())
+    doc["parameters"]["gateTimes"]["CZ"] = 0.3
+    doc["parameters"]["gateFidelities"]["cx"] = "not checked"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = parse_architecture(json.dumps(doc))
+    assert [str(w.message) for w in caught] == _UNKNOWN_WARNINGS[:3] + [
+        "ignoring unknown key parameters.gateTimes.CZ",
+        "ignoring unknown key parameters.gateFidelities.cx",
+    ] + _UNKNOWN_WARNINGS[3:]
+    assert set(spec.gate_times) == set(spec.gate_fidelities) == NATIVE_GATES
+    written = json.loads(serialize_architecture(spec))["parameters"]
+    assert list(written["gateTimes"]) == list(written["gateFidelities"]) == sorted(NATIVE_GATES)
+
+
+def test_unknown_gate_names_warn_before_a_missing_native_gate():
+    doc = _base()
+    gate_times = doc["parameters"]["gateTimes"]
+    gate_times["foo"] = gate_times.pop("h")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(MissingField, match="missing native gate entries: h"):
+            parse_architecture(json.dumps(doc))
+    assert [str(w.message) for w in caught] == ["ignoring unknown key parameters.gateTimes.foo"]

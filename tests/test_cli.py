@@ -349,3 +349,14 @@ def test_unknown_keys_warn_before_a_failed_parse(files, tmp_path, capsys):
         "warning: ignoring unknown key futureTop",
         "error[InvalidValue]: properties.interQubitDistance: must be > 0, got -1.0",
     ]
+
+
+def test_unknown_key_warnings_come_object_by_object_not_in_text_order(files, tmp_path, capsys):
+    # futureTop is written last, yet warns first: an object's own unknown keys
+    # come before those of the objects nested in it
+    arch = _arch_with_unknown_keys(tmp_path / "future.json")
+    text = (tmp_path / "future.json").read_text()
+    keys = ['"futureTop"', '"colour"', '"t3"']
+    assert sorted(keys, key=text.index) == ['"colour"', '"t3"', '"futureTop"']
+    assert main(["validate", files["circuit"], arch]) == 0
+    assert capsys.readouterr().err.splitlines() == _UNKNOWN_KEY_LINES
