@@ -68,6 +68,7 @@ class _Record(tuple):
 
     __ne__ = object.__ne__  # the negation of __eq__
     __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented  # unordered
 
     def __getnewargs__(self):  # copy and pickle rebuild a record through __new__
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -215,10 +216,9 @@ def _parse_stage_line(text: str, line: int) -> Stage:
                     raise _expected("')'", m, "close", line)
             if not operands:  # the first operand is malformed
                 raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("operands") + 1)
-            if more:
+            cells = (int(a),) if b is None else (int(a), int(b))
+            if more:  # only an arity error has more than two operands
                 cells = tuple(map(int, _CELL_RE.findall(operands)))
-            else:
-                cells = (int(a),) if b is None else (int(a), int(b))
             if comma:  # the operand after a comma is malformed
                 raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("end") + 1)
             if not end:

@@ -250,3 +250,15 @@ def test_class_patterns_match_fields():
             assert src == 4
         case _:
             pytest.fail("no pattern matched")
+
+
+@pytest.mark.parametrize("a, b", [
+    (Gate("h", (), (1,)), Gate("h", (), (2,))),
+    (Move(1, 2), Move(1, 3)),
+    (Gate("h", (), (1,)), Move(1, 2)),
+    (Stage((Move(1, 2),)), Stage((Move(1, 3),))),
+])
+def test_records_are_unordered(a, b):
+    for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
+        with pytest.raises(TypeError):
+            compare()
