@@ -17,7 +17,6 @@ from .errors import EvalKitError
 from .evaluator import (
     FidelityBreakdown,
     ProgramTrace,
-    evaluate_unified,
     instruction_duration,
     trace_program,
 )
@@ -31,6 +30,7 @@ from .models import (
     evaluate_enola,
     evaluate_hybridmapper,
     evaluate_model,
+    evaluate_unified,
     whatif_collapse,
 )
 from .normalize import NormalizationReport, RewriteEvent, collapse

@@ -1,25 +1,16 @@
-"""Unified fidelity model over a program and a hardware description.
+"""The one trace every model reads, and the factors all models share.
 
-The approximate success probability of a circuit is the product of three
-factors:
+A model's approximate success probability is the product of three factors:
 
     asp = f_decoherence * f_gates * f_movements
 
-    f_decoherence = exp(-t_idle / t_eff),   t_eff = t1*t2 / (t1 + t2)
-    f_gates       = product of the average fidelity of every executed gate
-    f_movements   = transfer_fidelity ** (2 * move_count)
+    f_movements = transfer_fidelity ** (2 * move_count)
 
-with the total idle time summed over all qubits,
-
-    t_idle = n * T - sum of executed gate durations  (each gate once)
-
-where n is the number of declared qubits and T is the total run time: the
-sum over stages of the longest operation in the stage. A gate lasts its
-configured duration; a move lasts ``2 * aod_transfer_time + distance /
-move_speed`` with the physical distance ``cell_distance * inter_qubit_
-distance``. Movement durations are never subtracted from idle time: shuttling
-stretches the circuit and therefore costs decoherence, while its direct cost
-is the pair of trap transfers per move counted in f_movements.
+two trap transfers per move. How a model times the run, counts idle time and
+prices gates is its own assumption; :mod:`na_evalkit.models` states each one.
+A stage lasts as long as its longest operation: a gate its configured
+duration, a move ``2 * aod_transfer_time`` plus the model's travel time over
+the physical distance ``cell_distance * inter_qubit_distance``.
 """
 
 from __future__ import annotations
@@ -29,11 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import grid
-from .arch import ArchitectureSpec, effective_coherence_time
+from .arch import ArchitectureSpec
 from .errors import NegativeIdleTime, UnknownGate
 from .rsqasm import Instruction, Move, Program
-
-UNIFIED = "unified"
 
 
 @dataclass(frozen=True)
@@ -79,7 +68,6 @@ class ProgramTrace:
     stages: tuple[tuple[float | None, float | None], ...]
     one_qubit_gates: int
     two_qubit_gates: int
-    cz_gates: int
     gate_time_us: float
     f_gates: float
     move_count: int
@@ -103,8 +91,8 @@ class ProgramTrace:
     def run_time_us(self, move_time: Callable[[float], float]) -> float:
         """Total run time: the stage durations added one by one in stage order.
         A plain running sum, since the built-in sum() compensates rounding
-        from Python 3.12 on; the unified and enola models both take their run
-        time from here."""
+        from Python 3.12 on; every model with a travel law takes its run time
+        from here."""
         total = 0.0
         for duration in self.stage_durations(move_time):
             total += duration
@@ -144,7 +132,7 @@ def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
     occupancy = grid.initial_state(spec).occupancy
     busy = {q.id: 0.0 for q in spec.qubits}
     stages: list[tuple[float | None, float | None]] = []
-    g1 = g2 = cz = move_count = 0
+    g1 = g2 = move_count = 0
     gate_time = move_distance = 0.0
     f_gates = 1.0
     gates: dict[str, tuple[float, float]] = {}  # name -> (duration, fidelity), at first sight
@@ -173,8 +161,6 @@ def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
                 g2 += 1
             else:
                 g1 += 1
-            if name == "cz":
-                cz += 1
             for cell in operands:
                 busy[occupancy[cell]] += duration
         move_distance += stage_distance
@@ -183,7 +169,6 @@ def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
         stages=tuple(stages),
         one_qubit_gates=g1,
         two_qubit_gates=g2,
-        cz_gates=cz,
         gate_time_us=gate_time,
         f_gates=f_gates,
         move_count=move_count,
@@ -230,18 +215,3 @@ def decoherence_fidelity(t_idle_us: float, t_eff_us: float) -> float:
 def movement_fidelity(move_count: int, transfer_fidelity: float) -> float:
     """Two trap transfers per move: transfer_fidelity ** (2 * move_count)."""
     return transfer_fidelity ** (2 * move_count)
-
-
-def evaluate_unified(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
-    """Evaluate the unified model; see the module docstring for the formulas."""
-    trace = trace_program(program, spec)
-    t_total = trace.run_time_us(lambda cells: move_duration(cells, spec))
-    t_idle = spec.qubit_count * t_total - trace.gate_time_us
-    return trace.breakdown(
-        UNIFIED,
-        spec,
-        f_decoherence=decoherence_fidelity(t_idle, effective_coherence_time(spec)),
-        f_gates=trace.f_gates,
-        t_total_us=t_total,
-        t_idle_us=t_idle,
-    )

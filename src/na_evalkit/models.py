@@ -1,40 +1,28 @@
-"""Success-probability models of three earlier toolchains, re-computed over
-the same program/architecture inputs, plus a what-if recomputation for
-collapsed movement schedules.
+"""The four fidelity models, and a what-if recomputation for collapsed
+movement schedules.
 
-All three models share the breakdown schema of the unified evaluator but
-differ in accounting:
-
-* ``hybridmapper`` uses the exponential decoherence factor over the
-  effective coherence time, with the operation set taken as all executed
-  gates plus both trap transfers of every move. Transfer durations are
-  subtracted from idle time, so under this accounting shuttling improves
-  the decoherence factor; its decoherence term is therefore never below the
-  unified model's.
-* ``dasatom`` replaces the measured run time with the synthetic estimate
-  ``T = h*t_cz + s*t_trans + D/v`` (h gate-bearing stages, s transfer
-  events, D the summed per-stage maxima of physical move distances), uses
-  the bare dephasing time t2, and ignores one-qubit gates entirely.
-* ``enola`` uses a first-order per-qubit decoherence product
-  ``prod(1 - T_q/t2)`` instead of an exponential, forces the one-qubit gate
-  fidelity to 1, adds a bystander-exposure factor per stage, and times moves
-  as ``distance / v**2`` (kept exactly as published, dimensional oddity and
-  all; pass ``travel_time`` to substitute a corrected law).
+The toolchains disagree because they assume different things: how long a
+move travels, what idle time leaves out, which coherence time it decays
+over, which gates cost fidelity, and whether idle atoms pay for each
+stage's exposure. Each model is one row of ``_PRESETS``, and one evaluator
+reads any row over the one trace of a program. Unless a row decays atom by
+atom, its idle time, summed over all atoms, decays as ``exp(-t_idle/t_coh)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .arch import ArchitectureSpec, effective_coherence_time
 from .errors import CoherenceBudgetExceeded, InvalidInput
 from .evaluator import (
     FidelityBreakdown,
     decoherence_fidelity,
-    evaluate_unified,
     gate_duration,
     gate_fidelity,
     movement_fidelity,
@@ -50,55 +38,8 @@ class Model(str, Enum):
     ENOLA = "enola"
 
 
-def evaluate_hybridmapper(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
-    """Exponential decoherence over t_eff with transfers treated as operations.
-
-    Idle time is n*T minus the durations of *all* operations: every gate
-    once, plus 2 * aod_transfer_time per move. With zero moves this
-    coincides with the unified model.
-    """
-    base = evaluate_unified(program, spec)
-    transfer_time_sum = 2.0 * spec.aod_transfer_time * base.move_count
-    t_idle = base.t_idle_us - transfer_time_sum
-    f_decoherence = decoherence_fidelity(t_idle, effective_coherence_time(spec))
-    return replace(
-        base,
-        model=Model.HYBRIDMAPPER.value,
-        f_decoherence=f_decoherence,
-        asp=f_decoherence * base.f_gates * base.f_movements,
-        t_idle_us=t_idle,
-    )
-
-
-def evaluate_dasatom(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
-    """Synthetic-runtime model over the bare dephasing time.
-
-    T = h*t_cz + s*t_trans + D/v with h the number of gate-bearing stages,
-    s = 2*move_count transfer events, and D the sum over stages of the
-    longest physical move distance in each stage (parallel moves cost only
-    their slowest member). One-qubit gates contribute neither time nor
-    fidelity; P = exp(-t_idle/t2) * f_cz**m * f_trans**s with
-    t_idle = n*T - m*t_cz.
-    """
-    trace = trace_program(program, spec)
-    t_cz = gate_duration("cz", spec)
-    f_cz = gate_fidelity("cz", spec)
-
-    s = 2 * trace.move_count
-    gate_stages = sum(1 for gate_us, _ in trace.stages if gate_us is not None)
-    d_um = sum(
-        cells * spec.inter_qubit_distance for _, cells in trace.stages if cells is not None
-    )
-    t_total = gate_stages * t_cz + s * spec.aod_transfer_time + d_um / spec.move_speed
-    t_idle = spec.qubit_count * t_total - trace.cz_gates * t_cz
-    return trace.breakdown(
-        Model.DASATOM.value,
-        spec,
-        f_decoherence=decoherence_fidelity(t_idle, spec.t2),
-        f_gates=f_cz**trace.cz_gates,
-        t_total_us=t_total,
-        t_idle_us=t_idle,
-    )
+def _linear_travel(distance_um: float, spec: ArchitectureSpec) -> float:
+    return distance_um / spec.move_speed
 
 
 def _published_enola_travel(distance_um: float, spec: ArchitectureSpec) -> float:
@@ -107,68 +48,140 @@ def _published_enola_travel(distance_um: float, spec: ArchitectureSpec) -> float
     return distance_um / spec.move_speed**2
 
 
-def evaluate_enola(
-    program: Program,
-    spec: ArchitectureSpec,
-    travel_time: Callable[[float, ArchitectureSpec], float] = _published_enola_travel,
+class _Preset(NamedTuple):
+    """One toolchain's assumptions, a field per column of the README's table."""
+
+    # (distance_um, spec) -> travel time of a move after its two transfers,
+    # non-decreasing in the distance; None: DasAtom's synthetic run time
+    travel: Callable[[float, ArchitectureSpec], float] | None
+    # what n*T leaves out: "gates", "gates+transfers" or "cz"; or "per-atom",
+    # each atom q decaying over its own idle time T_q by prod(1 - T_q/t_coh)
+    idle: str
+    coherence: Callable[[ArchitectureSpec], float]
+    cz_only: bool  # f_gates from cz gates alone: one-qubit gates are free
+    exposure: bool  # each stage costs every atom outside a cz excitement_fidelity
+
+
+_PRESETS = {
+    # The paper's model: idle time is n*T minus every gate once, over
+    # t_eff = t1*t2/(t1 + t2). Moves stretch the run for all n atoms, so
+    # shuttling costs decoherence; its direct cost is the transfers counted in
+    # f_movements.
+    Model.UNIFIED: _Preset(_linear_travel, "gates", effective_coherence_time, False, False),
+    # HybridMapper also counts both transfers of every move as operations and
+    # takes 2*t_trans per move off idle time, so shuttling never lowers its
+    # decoherence factor below the unified one; without moves the two agree.
+    Model.HYBRIDMAPPER: _Preset(
+        _linear_travel, "gates+transfers", effective_coherence_time, False, False
+    ),
+    # DasAtom runs for T = h*t_cz + s*t_trans + D/v: h gate-bearing stages,
+    # s = 2*move_count transfers, and D the sum over stages of the longest
+    # physical move distance, so parallel moves cost only their slowest member.
+    # It idles n*T - m*t_cz with m cz gates and decays over the bare t2.
+    Model.DASATOM: _Preset(None, "cz", attrgetter("t2"), True, False),
+    # Enola times moves by d/v**2 as published (evaluate_enola's travel_time
+    # substitutes a corrected law), decays atom by atom over t2, and charges
+    # the n*S - 2*g2 exposures of S stages with g2 cz gates.
+    Model.ENOLA: _Preset(_published_enola_travel, "per-atom", attrgetter("t2"), True, True),
+}
+
+
+def _evaluate(
+    program: Program, spec: ArchitectureSpec, model: Model, preset: _Preset | None = None
 ) -> FidelityBreakdown:
-    """First-order per-qubit decoherence with bystander-exposure cost.
-
-    P = f_cz**g2 * f_exc**(n*S - 2*g2) * f_trans**s * prod(1 - T_q/t2)
-    with one-qubit gate fidelity forced to 1, S the stage count, s the
-    transfer count (2 per move), and T_q the idle time of atom q: total run
-    time minus the time q spent inside gates. Moves last
-    ``2*aod_transfer_time + travel_time(distance_um, spec)``; ``travel_time``
-    must be non-decreasing in the distance, because a stage is timed by its
-    longest move.
-
-    Raises CoherenceBudgetExceeded when any factor 1 - T_q/t2 drops to or
-    below zero, where the first-order approximation stops being meaningful.
-    """
+    """``model``'s breakdown of one trace, under ``preset`` or the model's own row."""
+    travel, idle, coherence, cz_only, exposure = preset or _PRESETS[model]
     trace = trace_program(program, spec)
-    t_total = trace.run_time_us(
-        lambda cells: 2.0 * spec.aod_transfer_time
-        + travel_time(cells * spec.inter_qubit_distance, spec)
-    )
-
-    idle_factors = []
-    t_idle = 0.0
-    for atom, busy_us in trace.busy_us.items():
-        t_q = t_total - busy_us
-        factor = 1.0 - t_q / spec.t2
-        if factor <= 0.0:
-            raise CoherenceBudgetExceeded(
-                f"atom {atom} idles {t_q} us, at or beyond the dephasing time {spec.t2} us"
-            )
-        idle_factors.append(factor)
-        t_idle += t_q
-
+    if travel is None:
+        t_cz = gate_duration("cz", spec)
+        s = 2 * trace.move_count
+        gate_stages = sum(1 for gate_us, _ in trace.stages if gate_us is not None)
+        d_um = sum(
+            cells * spec.inter_qubit_distance for _, cells in trace.stages if cells is not None
+        )
+        t_total = gate_stages * t_cz + s * spec.aod_transfer_time + d_um / spec.move_speed
+    else:
+        t_total = trace.run_time_us(
+            lambda cells: 2.0 * spec.aod_transfer_time
+            + travel(cells * spec.inter_qubit_distance, spec)
+        )
+    t_coh = coherence(spec)
+    if idle == "per-atom":
+        factors = []
+        t_idle = 0.0
+        for atom, busy_us in trace.busy_us.items():
+            t_q = t_total - busy_us
+            factor = 1.0 - t_q / t_coh
+            if factor <= 0.0:  # where the first-order approximation stops being meaningful
+                raise CoherenceBudgetExceeded(
+                    f"atom {atom} idles {t_q} us, at or beyond the dephasing time {t_coh} us"
+                )
+            factors.append(factor)
+            t_idle += t_q
+        f_decoherence = math.prod(factors)
+    else:
+        if idle == "cz":
+            t_idle = spec.qubit_count * t_total - trace.two_qubit_gates * gate_duration("cz", spec)
+        else:
+            t_idle = spec.qubit_count * t_total - trace.gate_time_us
+            if idle == "gates+transfers":
+                t_idle -= 2.0 * spec.aod_transfer_time * trace.move_count
+        # n*T and the sums it is reduced by round apart, so a program that keeps
+        # every atom busy can land a few ulps below zero; within that rounding
+        # bound the idle time is zero, and anything further below still raises
+        terms = len(trace.stages) + trace.one_qubit_gates + trace.two_qubit_gates + 2
+        if -terms * sys.float_info.epsilon * spec.qubit_count * t_total <= t_idle < 0.0:
+            t_idle = 0.0
+        f_decoherence = decoherence_fidelity(t_idle, t_coh)
     g2 = trace.two_qubit_gates
-    exposure_exponent = spec.qubit_count * len(trace.stages) - 2 * g2
-    f_cz = gate_fidelity("cz", spec)
+    f_gates = gate_fidelity("cz", spec) ** g2 if cz_only else trace.f_gates
+    if exposure:
+        f_gates *= spec.excitement_fidelity ** (spec.qubit_count * len(trace.stages) - 2 * g2)
     return trace.breakdown(
-        Model.ENOLA.value,
+        model.value,
         spec,
-        f_decoherence=math.prod(idle_factors),
-        f_gates=f_cz**g2 * spec.excitement_fidelity**exposure_exponent,
+        f_decoherence=f_decoherence,
+        f_gates=f_gates,
         t_total_us=t_total,
         t_idle_us=t_idle,
     )
 
 
-_EVALUATORS = {
-    Model.UNIFIED: evaluate_unified,
-    Model.HYBRIDMAPPER: evaluate_hybridmapper,
-    Model.DASATOM: evaluate_dasatom,
-    Model.ENOLA: evaluate_enola,
-}
+def evaluate_unified(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
+    """The paper's unified model."""
+    return _evaluate(program, spec, Model.UNIFIED)
+
+
+def evaluate_hybridmapper(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
+    """HybridMapper's model: trap transfers count as operations, off idle time."""
+    return _evaluate(program, spec, Model.HYBRIDMAPPER)
+
+
+def evaluate_dasatom(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
+    """DasAtom's model: a synthetic run time, decaying over t2, cz gates only."""
+    return _evaluate(program, spec, Model.DASATOM)
+
+
+def evaluate_enola(
+    program: Program,
+    spec: ArchitectureSpec,
+    travel_time: Callable[[float, ArchitectureSpec], float] = _published_enola_travel,
+) -> FidelityBreakdown:
+    """Enola's model: first-order per-atom decoherence with bystander exposure.
+
+    ``travel_time(distance_um, spec)`` replaces the published ``d/v**2``
+    travel law and must be non-decreasing in the distance. Raises
+    CoherenceBudgetExceeded when an atom idles for t2 or longer.
+    """
+    preset = _PRESETS[Model.ENOLA]._replace(travel=travel_time)
+    return _evaluate(program, spec, Model.ENOLA, preset)
 
 
 def evaluate_model(
     program: Program, spec: ArchitectureSpec, model: Model | str
 ) -> FidelityBreakdown:
-    """Dispatch to one of the four models by name."""
-    return _EVALUATORS[Model(model)](program, spec)
+    """Evaluate one of the four models, given as a :class:`Model` or its name."""
+    return _evaluate(program, spec, Model(model))
 
 
 @dataclass(frozen=True)

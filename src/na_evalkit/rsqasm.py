@@ -68,7 +68,11 @@ class _Record(tuple):
 
     __ne__ = object.__ne__  # the negation of __eq__
     __hash__ = tuple.__hash__
-    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented  # unordered
+
+    def __lt__(self, other):  # unordered; NotImplemented would let a plain tuple order it
+        raise TypeError(f"{type(self).__name__} records are unordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __getnewargs__(self):  # copy and pickle rebuild a record through __new__
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -128,6 +128,17 @@ def random_legal_program(
     return Program(1, 0, tuple(stages))
 
 
+def all_busy_program(rng: random.Random, spec: ArchitectureSpec, max_stages: int = 8) -> Program:
+    """Stages of one-qubit gates on every atom: with equal one-qubit gate
+    durations, no atom ever idles."""
+    cells = sorted(initial_state(spec).occupancy)
+    stages = [
+        Stage(tuple(Gate(rng.choice(ONE_QUBIT_GATES[3:]), (), (c,)) for c in cells))
+        for _ in range(rng.randint(1, max_stages))
+    ]
+    return Program(1, 0, tuple(stages))
+
+
 def random_program_with_redundancy(
     rng: random.Random, spec: ArchitectureSpec, patterns: int = 2
 ) -> Program:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -108,6 +109,25 @@ def test_evaluate_all_models(files, capsys):
             "--format", "json",
         ]) == 0
         assert json.loads(capsys.readouterr().out)["model"] == model
+
+
+def test_evaluate_all_busy_circuit_idles_exactly_zero(tmp_path, capsys):
+    # 3 * (0.3 + 0.3) and six 0.3 gates added one by one round apart, by -2.2e-16
+    arch = tmp_path / "arch.json"
+    arch.write_text(arch_document(side=4, n_qubits=3, one_qubit_time=0.3))
+    circuit = tmp_path / "busy.rsqasm"
+    circuit.write_text("RSQASM 1.0;\n" + "h q[0];h q[1];h q[2];\n" * 2)
+    for model in ("unified", "hybridmapper", "dasatom", "enola"):
+        argv = ["evaluate", str(circuit), str(arch), "--model", model, "--format", "json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        if model == "dasatom":
+            # prices each gate stage at the cz time and frees one-qubit gates
+            assert report["t_idle_us"] == 3 * (2 * 0.2)
+        else:
+            assert report["t_idle_us"] == 0.0
+            assert report["f_decoherence"] == 1.0
+        assert math.copysign(1.0, report["t_idle_us"]) == 1.0
 
 
 def test_evaluate_empty_circuit_is_all_hundred(files, tmp_path, capsys):

@@ -17,7 +17,7 @@ from na_evalkit import (
 )
 from na_evalkit.errors import CoherenceBudgetExceeded, InvalidInput
 from na_evalkit.models import Model
-from helpers import make_spec, random_legal_program
+from helpers import all_busy_program, make_spec, random_legal_program
 
 
 # --- hybridmapper -----------------------------------------------------------
@@ -181,14 +181,18 @@ def test_enola_empty_program(table1_spec):
 def test_all_models_stay_in_unit_interval():
     spec = make_spec(side=6, cells=list(range(7)))
     rng = random.Random(77)
-    for _ in range(60):
-        program = random_legal_program(rng, spec)
+    cases = [(random_legal_program(rng, spec), spec) for _ in range(60)]
+    for n in range(1, 10):  # no atom ever idles, so n*T and the gate sum round apart
+        busy = make_spec(side=3, n_qubits=n, one_qubit_time=0.3)
+        cases += [(all_busy_program(rng, busy), busy) for _ in range(4)]
+    for program, spec in cases:
         for model in Model:
             b = evaluate_model(program, spec, model)
             for factor in (b.f_decoherence, b.f_gates, b.f_movements, b.asp):
                 assert 0.0 < factor <= 1.0
             assert b.asp == pytest.approx(b.f_decoherence * b.f_gates * b.f_movements)
             assert b.t_idle_us >= 0.0
+            assert math.copysign(1.0, b.t_idle_us) == 1.0  # never -0.0
 
 
 def test_evaluate_model_dispatch(table1_spec):

@@ -257,6 +257,12 @@ def test_class_patterns_match_fields():
     (Move(1, 2), Move(1, 3)),
     (Gate("h", (), (1,)), Move(1, 2)),
     (Stage((Move(1, 2),)), Stage((Move(1, 3),))),
+    (Move(1, 2), (1, 3)),
+    ((1, 3), Move(1, 2)),
+    (Gate("h", (), (1,)), ("h", (), (2,))),
+    (("h", (), (2,)), Gate("h", (), (1,))),
+    (Stage((Move(1, 2),)), (Move(1, 3),)),
+    ((Move(1, 3),), Stage((Move(1, 2),))),
 ])
 def test_records_are_unordered(a, b):
     for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
