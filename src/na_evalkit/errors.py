@@ -126,6 +126,12 @@ class InvalidInput(EvalKitError):
     code = "InvalidInput"
 
 
+class NonFiniteResult(EvalKitError):
+    """A model's report would carry NaN or an infinity."""
+
+    code = "NonFiniteResult"
+
+
 # --- normalization / ingest errors ------------------------------------------
 
 class IllegalInput(EvalKitError):

@@ -5,7 +5,12 @@ States are values: ``apply_stage`` and ``simulate`` copy the occupancy of
 their input once, run every stage on that private copy through
 :func:`advance`, and return a new state, so independent circuits can be
 processed concurrently. Only callers that own an occupancy map pass it to
-``advance`` directly.
+``advance`` directly; it builds no state per stage.
+
+``validate_stage`` and ``advance`` share one loop over a stage. It passes
+over every instruction that cannot yield a violation or a warning and
+diagnoses any other on the spot; a stage that yields nothing gets one
+shared legal diagnosis.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from enum import Enum
 
 from .arch import ArchitectureSpec
 from .errors import CellOutOfRange, IllegalStage
-from .rsqasm import Gate, Move, Program, Stage
+from .rsqasm import Move, Program, Stage
 
 
 class ViolationKind(Enum):
@@ -106,48 +111,54 @@ def validate_stage(
     two-qubit gates spanning a larger distance produce an advisory warning,
     never a violation.
     """
-    occupied = state.occupancy
-    limit = state.cell_count
-    if interaction_radius is None:  # one cheap pass finds a legal stage
-        for op in stage:
-            if type(op) is Move:
-                src, dst = op.src, op.dst
-                if src not in occupied or dst in occupied or src >= limit or dst >= limit:
-                    break
-            else:
-                first, last = op.operands[0], op.operands[-1]  # a gate has one or two
-                if first not in occupied or last not in occupied or first >= limit or last >= limit:
-                    break
-        else:
-            return _LEGAL
+    return _check_stage(state.occupancy, state.side, stage, interaction_radius)
 
+
+def _check_stage(
+    occupied: dict[int, int], side: int, stage: Stage, interaction_radius: float | None
+) -> StageDiagnosis:
+    """:func:`validate_stage` over a bare occupancy map. An instruction that
+    passes the cheap test yields nothing; only the others are diagnosed."""
+    limit = side * side
     violations: list[Violation] = []
     warnings: list[str] = []
     for i, op in enumerate(stage):
+        if type(op) is Move:
+            src, dst = op.src, op.dst
+            if src in occupied and dst not in occupied and src < limit and dst < limit:
+                continue
+        else:
+            operands = op.operands
+            first, last = operands[0], operands[-1]  # a gate has one or two
+            if (
+                first in occupied and last in occupied and first < limit and last < limit
+                and (interaction_radius is None or len(operands) == 1)
+            ):
+                continue
         outside = [Violation(ViolationKind.CELL_OUT_OF_RANGE, i, c) for c in op.cells if c >= limit]
         if outside:
             violations += outside
-            continue
-        if isinstance(op, Gate):
-            for cell in op.operands:
+        elif type(op) is Move:
+            if src not in occupied:
+                violations.append(Violation(ViolationKind.MOVE_FROM_EMPTY_CELL, i, src))
+            if dst in occupied:
+                violations.append(Violation(ViolationKind.MOVE_TO_OCCUPIED_CELL, i, dst))
+        else:
+            for cell in operands:
                 if cell not in occupied:
                     violations.append(Violation(ViolationKind.GATE_ON_EMPTY_CELL, i, cell))
             if (
                 interaction_radius is not None
-                and len(op.operands) == 2
-                and cell_distance(op.operands[0], op.operands[1], state.side)
-                > interaction_radius
+                and len(operands) == 2
+                and cell_distance(first, last, side) > interaction_radius
             ):
                 warnings.append(
-                    f"instruction {i}: {op.name} operands {op.operands[0]} and "
-                    f"{op.operands[1]} are farther apart than radius {interaction_radius}"
+                    f"instruction {i}: {op.name} operands {first} and {last} "
+                    f"are farther apart than radius {interaction_radius}"
                 )
-        else:
-            if op.src not in occupied:
-                violations.append(Violation(ViolationKind.MOVE_FROM_EMPTY_CELL, i, op.src))
-            if op.dst in occupied:
-                violations.append(Violation(ViolationKind.MOVE_TO_OCCUPIED_CELL, i, op.dst))
-    return StageDiagnosis(tuple(violations), tuple(warnings))
+    if violations or warnings:
+        return StageDiagnosis(tuple(violations), tuple(warnings))
+    return _LEGAL
 
 
 def advance(
@@ -165,7 +176,7 @@ def advance(
     be nonempty). Raises :class:`IllegalStage` carrying the diagnosis, with
     ``occupancy`` untouched, when the stage is not legal.
     """
-    diagnosis = validate_stage(GridState(side, occupancy), stage, interaction_radius)
+    diagnosis = _check_stage(occupancy, side, stage, interaction_radius)
     if not diagnosis.legal:
         raise IllegalStage(str(diagnosis), diagnosis, stage_index)
     for op in stage:

@@ -19,9 +19,10 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .arch import ArchitectureSpec, effective_coherence_time
-from .errors import CoherenceBudgetExceeded, InvalidInput
+from .errors import CoherenceBudgetExceeded, InvalidInput, NonFiniteResult
 from .evaluator import (
     FidelityBreakdown,
+    ProgramTrace,
     decoherence_fidelity,
     gate_duration,
     gate_fidelity,
@@ -86,19 +87,50 @@ _PRESETS = {
 }
 
 
+# checked in this order; the first one that is not finite is reported
+_FINITE_FIELDS = ("t_total_us", "t_idle_us", "f_decoherence", "f_gates", "f_movements", "asp")
+
+
 def _evaluate(
-    program: Program, spec: ArchitectureSpec, model: Model, preset: _Preset | None = None
+    trace: ProgramTrace, spec: ArchitectureSpec, model: Model, preset: _Preset | None = None
 ) -> FidelityBreakdown:
-    """``model``'s breakdown of one trace, under ``preset`` or the model's own row."""
-    travel, idle, coherence, cz_only, exposure = preset or _PRESETS[model]
-    trace = trace_program(program, spec)
+    """``model``'s breakdown of ``trace``, under ``preset`` or the model's own row.
+
+    Raises NonFiniteResult when the hardware numbers take a reported field, or
+    a power or quotient on the way, out of the finite floats.
+    """
+    try:
+        t_total, t_idle, f_decoherence, f_gates = _price(trace, spec, preset or _PRESETS[model])
+    except ArithmeticError as exc:  # ZeroDivisionError after an underflow, or OverflowError
+        raise NonFiniteResult(f"the hardware numbers leave the float range: {exc}") from exc
+    result = trace.breakdown(
+        model.value,
+        spec,
+        f_decoherence=f_decoherence,
+        f_gates=f_gates,
+        t_total_us=t_total,
+        t_idle_us=t_idle,
+    )
+    for name in _FINITE_FIELDS:
+        value = getattr(result, name)
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"{name} is {value}: the hardware numbers leave the float range")
+    return result
+
+
+def _price(
+    trace: ProgramTrace, spec: ArchitectureSpec, preset: _Preset
+) -> tuple[float, float, float, float]:
+    """A preset's run time, idle time, decoherence factor and gate factor."""
+    travel, idle, coherence, cz_only, exposure = preset
     if travel is None:
         t_cz = gate_duration("cz", spec)
         s = 2 * trace.move_count
         gate_stages = sum(1 for gate_us, _ in trace.stages if gate_us is not None)
-        d_um = sum(
-            cells * spec.inter_qubit_distance for _, cells in trace.stages if cells is not None
-        )
+        d_um = 0.0  # a plain running sum, as in ProgramTrace.run_time_us
+        for _, cells in trace.stages:
+            if cells is not None:
+                d_um += cells * spec.inter_qubit_distance
         t_total = gate_stages * t_cz + s * spec.aod_transfer_time + d_um / spec.move_speed
     else:
         t_total = trace.run_time_us(
@@ -137,29 +169,22 @@ def _evaluate(
     f_gates = gate_fidelity("cz", spec) ** g2 if cz_only else trace.f_gates
     if exposure:
         f_gates *= spec.excitement_fidelity ** (spec.qubit_count * len(trace.stages) - 2 * g2)
-    return trace.breakdown(
-        model.value,
-        spec,
-        f_decoherence=f_decoherence,
-        f_gates=f_gates,
-        t_total_us=t_total,
-        t_idle_us=t_idle,
-    )
+    return t_total, t_idle, f_decoherence, f_gates
 
 
 def evaluate_unified(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
     """The paper's unified model."""
-    return _evaluate(program, spec, Model.UNIFIED)
+    return _evaluate(trace_program(program, spec), spec, Model.UNIFIED)
 
 
 def evaluate_hybridmapper(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
     """HybridMapper's model: trap transfers count as operations, off idle time."""
-    return _evaluate(program, spec, Model.HYBRIDMAPPER)
+    return _evaluate(trace_program(program, spec), spec, Model.HYBRIDMAPPER)
 
 
 def evaluate_dasatom(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
     """DasAtom's model: a synthetic run time, decaying over t2, cz gates only."""
-    return _evaluate(program, spec, Model.DASATOM)
+    return _evaluate(trace_program(program, spec), spec, Model.DASATOM)
 
 
 def evaluate_enola(
@@ -174,14 +199,14 @@ def evaluate_enola(
     CoherenceBudgetExceeded when an atom idles for t2 or longer.
     """
     preset = _PRESETS[Model.ENOLA]._replace(travel=travel_time)
-    return _evaluate(program, spec, Model.ENOLA, preset)
+    return _evaluate(trace_program(program, spec), spec, Model.ENOLA, preset)
 
 
 def evaluate_model(
     program: Program, spec: ArchitectureSpec, model: Model | str
 ) -> FidelityBreakdown:
     """Evaluate one of the four models, given as a :class:`Model` or its name."""
-    return _evaluate(program, spec, Model(model))
+    return _evaluate(trace_program(program, spec), spec, Model(model))
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ simulated, because of two facts:
   {a, b, c} in stages i..j.
 * **Resume, don't restart.** A commit changes references to cells
   {a, b, c} only, so a move that failed earlier can succeed afterwards only
-  if it touches one of them. After a commit the earlier moves on those
-  cells are re-checked in program order (a commit among them queues its own
-  cells in turn), then the scan resumes after the committed move.
+  if it touches one of them. Each move the program-order scan reaches
+  seeds one worklist of positions, drained in program order before the
+  scan goes on: first the move itself, then every earlier move on the
+  cells of each commit the worklist makes.
 
 Each move is thus searched for a partner once, plus once more per commit
 that touches its cells, and each search stops at the first later stage that
@@ -132,16 +133,34 @@ class _Pass:
 
     def run(self):
         work = self.work
+        pending: list[tuple[int, int]] = []  # min-heap of move positions to check
+        queued: set[tuple[int, int]] = set()
         for i, ops in enumerate(work):
             for oi, op in enumerate(ops):
                 if not isinstance(op, Move):
                     continue
-                found = _find_partner(work, i, op.src, op.dst)
-                if found is None:
-                    continue
-                cells = self._commit(i, oi, op, *found)
-                if cells:
-                    self._recheck((i, oi), cells)
+                # check this move, then, in program order, the earlier moves
+                # on every cell a commit touches
+                limit = (i, oi)
+                pending.append(limit)
+                while pending:
+                    s, o = heappop(pending)
+                    queued.discard((s, o))
+                    move = work[s][o]
+                    if not isinstance(move, Move):  # removed by a commit since it was queued
+                        continue
+                    found = _find_partner(work, s, move.src, move.dst)
+                    if found is None:
+                        continue
+                    for cell in self._commit(s, o, move, *found) or ():
+                        for pos in self.moves_at.get(cell, ()):
+                            if pos >= limit:
+                                break
+                            other = work[pos[0]][pos[1]]
+                            # skip index entries left stale by earlier commits
+                            if isinstance(other, Move) and cell in other.cells and pos not in queued:
+                                queued.add(pos)
+                                heappush(pending, pos)
 
     def _at(self, k: int) -> int:
         """Position of stage k once the stages emptied so far are dropped."""
@@ -177,38 +196,6 @@ class _Pass:
             # the merged move now touches a; its entry under b goes stale
             insort(self.moves_at.setdefault(move.src, []), (j, oj))
         return move.src, move.dst, partner.dst
-
-    def _recheck(self, limit: tuple[int, int], cells: tuple[int, int, int]):
-        """Re-check, in program order, the moves before ``limit`` on ``cells``."""
-        work = self.work
-        pending: list[tuple[int, int]] = []
-        queued: set[tuple[int, int]] = set()
-
-        def enqueue(cells):
-            for cell in cells:
-                for pos in self.moves_at.get(cell, ()):
-                    if pos >= limit:
-                        break
-                    op = work[pos[0]][pos[1]]
-                    # skip index entries left stale by earlier commits
-                    if isinstance(op, Move) and cell in op.cells and pos not in queued:
-                        queued.add(pos)
-                        heappush(pending, pos)
-
-        enqueue(cells)
-        while pending:
-            pos = heappop(pending)
-            queued.discard(pos)
-            s, o = pos
-            op = work[s][o]
-            if not isinstance(op, Move):  # removed by a commit since it was queued
-                continue
-            found = _find_partner(work, s, op.src, op.dst)
-            if found is None:
-                continue
-            cells = self._commit(s, o, op, *found)
-            if cells:
-                enqueue(cells)
 
     def program(self, original: Program) -> Program:
         """The rewritten program; stages never edited are reused as they are."""

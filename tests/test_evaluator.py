@@ -243,7 +243,8 @@ def _running_sum(values) -> float:
 
 def _assert_run_times_are_one_running_sum(program, spec) -> list[float]:
     """Every run time must be the stage maxima added one by one in stage
-    order, exactly; returns the unified stage durations."""
+    order, exactly, and DasAtom's D the stages' longest moves added the same
+    way; returns the unified stage durations."""
     def stage_maxima(move_time):
         return [
             max(
@@ -263,6 +264,20 @@ def _assert_run_times_are_one_running_sum(program, spec) -> list[float]:
         + cells * spec.inter_qubit_distance / spec.move_speed**2
     )
     assert evaluate_enola(program, spec).t_total_us == _running_sum(enola)
+    # DasAtom: h*t_cz + s*t_trans + D/v, with D the longest move of each stage
+    # scaled to um and added one by one in stage order
+    gate_stages = sum(1 for stage in program.stages if any(isinstance(op, Gate) for op in stage.ops))
+    moves = [[op for op in stage.ops if isinstance(op, Move)] for stage in program.stages]
+    d_um = _running_sum(
+        max(cell_distance(op.src, op.dst, spec.grid_side) for op in stage) * spec.inter_qubit_distance
+        for stage in moves if stage
+    )
+    dasatom = (
+        gate_stages * spec.gate_times["cz"]
+        + 2 * sum(map(len, moves)) * spec.aod_transfer_time
+        + d_um / spec.move_speed
+    )
+    assert evaluate_dasatom(program, spec).t_total_us == dasatom
     return unified
 
 

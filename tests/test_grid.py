@@ -15,6 +15,7 @@ from na_evalkit import (
     parse_program,
     serialize_program,
     simulate,
+    trace_program,
     validate_stage,
 )
 from na_evalkit import grid
@@ -228,12 +229,36 @@ def test_validate_checks_each_stage_once(tmp_path, monkeypatch, capsys):
     arch.write_text(arch_document(side=6, cells=list(range(7))))
 
     calls = []
-    original = grid.validate_stage
+    original = grid._check_stage
 
-    def counting(state, stage, *args, **kwargs):
+    def counting(occupied, side, stage, *args, **kwargs):
         calls.append(stage)
-        return original(state, stage, *args, **kwargs)
+        return original(occupied, side, stage, *args, **kwargs)
 
-    monkeypatch.setattr(grid, "validate_stage", counting)
+    monkeypatch.setattr(grid, "_check_stage", counting)
     assert main(["validate", str(circuit), str(arch)]) == 0
     assert calls == list(program.stages)
+
+
+def test_grid_states_built_do_not_grow_with_the_stage_count(tmp_path, monkeypatch):
+    spec = make_spec(side=6, cells=list(range(7)))
+    arch = tmp_path / "arch.json"
+    arch.write_text(arch_document(side=6, cells=list(range(7))))
+    built = []
+    original = grid.GridState
+    monkeypatch.setattr(grid, "GridState", lambda *args: built.append(args) or original(*args))
+
+    def built_for(stage_count):
+        rng = random.Random(stage_count)
+        program = Program(1, 0, ())
+        while len(program.stages) < stage_count:
+            program = random_legal_program(rng, spec, max_stages=2 * stage_count)
+        circuit = tmp_path / "circuit.rsqasm"
+        circuit.write_text(serialize_program(program))
+        built.clear()
+        trace_program(program, spec)
+        simulate(initial_state(spec), program)
+        assert main(["validate", str(circuit), str(arch)]) == 0
+        return len(built)
+
+    assert built_for(40) == built_for(4)

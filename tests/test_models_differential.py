@@ -13,10 +13,19 @@ import dataclasses
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from na_evalkit import evaluate_enola, evaluate_model, evaluator, models
+from na_evalkit import (
+    evaluate_enola,
+    evaluate_model,
+    evaluator,
+    models,
+    parse_architecture,
+    parse_program,
+    trace_program,
+)
 from na_evalkit.errors import EvalKitError, NegativeIdleTime
 from na_evalkit.models import Model
 import models_reference as reference
@@ -132,3 +141,16 @@ def test_each_evaluation_traces_the_program_once(model, monkeypatch):
         )
     evaluate_model(program, spec, model)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", ["dense", "table1"])
+@pytest.mark.parametrize("circuit", ["circuit", "collapsed"])
+def test_one_shared_trace_prices_every_model(case, circuit):
+    directory = Path(__file__).parent / "golden" / case
+    spec = parse_architecture((directory / "arch.json").read_text(encoding="utf-8"))
+    program = parse_program((directory / f"{circuit}.rsqasm").read_text(encoding="utf-8"))
+    trace = trace_program(program, spec)
+    busy = dict(trace.busy_us)
+    for model in Model:
+        assert models._evaluate(trace, spec, model) == evaluate_model(program, spec, model)
+    assert trace.busy_us == busy

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from na_evalkit import Gate, Move, Program, Stage, trace_program, validate_stage
 from na_evalkit.errors import IllegalStage, UnknownGate
 from na_evalkit.grid import (
+    _LEGAL,
     GridState,
     StageDiagnosis,
     Violation,
@@ -67,7 +68,8 @@ def _cases(draw):
     in the occupancy too. Half of the stages take gate cells and move sources
     among the occupied cells and move targets among the empty cells on the
     grid, so they are legal unless they use an occupied cell off the grid; the
-    other half take any cells. So both the cheap pass and the full loop run."""
+    other half take any cells. So instructions both pass the cheap test and get
+diagnosed, often within one stage."""
     side = draw(st.integers(1, 4))
     cells = st.integers(0, side * side + 2)
     occupied = draw(st.lists(cells, unique=True, max_size=side * side + 1))
@@ -106,6 +108,10 @@ def _cases(draw):
 @example((GridState(2, {0: 0, 5: 1}), Stage((Move(5, 2),)), None))
 @example((GridState(2, {0: 0, 1: 1}), Stage((Move(0, 2), Gate("cz", (), (1, 7)))), None))
 @example((GridState(3, {0: 0, 8: 1}), Stage((Gate("cz", (), (0, 8)),)), 1.0))
+# a legal cz wider than the radius next to a legal move: a warning, no violation
+@example((GridState(3, {0: 0, 4: 1, 8: 2}), Stage((Move(4, 5), Gate("cz", (), (0, 8)))), 2.0))
+# a legal one-qubit gate with a radius set passes the cheap test
+@example((GridState(2, {0: 0, 3: 1}), Stage((Gate("h", (), (3,)),)), 0.0))
 def test_validate_stage_matches_the_reference(case):
     state, stage, radius = case
     before = dict(state.occupancy)
@@ -114,6 +120,8 @@ def test_validate_stage_matches_the_reference(case):
     assert state.occupancy == before
     if got.legal and radius is None:
         assert got == StageDiagnosis()
+    if got == StageDiagnosis():
+        assert got is _LEGAL
 
 
 def test_legal_stages_share_one_empty_diagnosis():
