@@ -127,7 +127,7 @@ class InvalidInput(EvalKitError):
 
 
 class NonFiniteResult(EvalKitError):
-    """A model's report would carry NaN or an infinity."""
+    """A report would carry NaN or an infinity."""
 
     code = "NonFiniteResult"
 

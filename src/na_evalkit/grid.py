@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arch import ArchitectureSpec
-from .errors import CellOutOfRange, IllegalStage
+from .errors import CellOutOfRange, IllegalStage, NonFiniteResult
 from .rsqasm import Move, Program, Stage
 
 
@@ -93,10 +93,17 @@ def cell_coords(cell: int, side: int) -> tuple[int, int]:
 
 
 def cell_distance(a: int, b: int, side: int) -> float:
-    """Euclidean distance between two cells, in cell units."""
+    """Euclidean distance between two cells, in cell units.
+
+    Raises NonFiniteResult when the cells lie farther apart, along a row or a
+    column, than the largest float.
+    """
     xa, ya = cell_coords(a, side)
     xb, yb = cell_coords(b, side)
-    return math.hypot(xa - xb, ya - yb)
+    try:
+        return math.hypot(xa - xb, ya - yb)
+    except OverflowError as exc:  # an integer offset beyond the float range
+        raise NonFiniteResult("a distance between two cells leaves the float range") from exc
 
 
 def validate_stage(

@@ -4,8 +4,9 @@ This is deliberately not a compiler: no routing, no transpilation, no moves.
 The input must already be expressed in the native gate set
 {cz, rx, ry, rz, h, s, t}; logical qubit i lands on the i-th placed cell in
 row-major order, and gates are packed into stages either one per stage or
-greedily (earliest stage whose cells are all free, never crossing a
-barrier fence or per-qubit program order).
+greedily. Greedy packing is ASAP scheduling: a gate joins the first stage
+after the last one that touches or fences its cells, so it never crosses a
+barrier or per-qubit program order.
 
 ``barrier`` statements are recognised and recorded but are never gates; in
 particular a barrier is never treated as a two-qubit operation, so it
@@ -18,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import grid
 from .arch import ArchitectureSpec
 from .errors import RsqasmSyntaxError, TooManyQubits, UnsupportedConstruct
 from .rsqasm import (
@@ -182,43 +184,33 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
 def to_rsqasm(circuit: FlatCircuit, spec: ArchitectureSpec, packing: str = GREEDY) -> Program:
     """Embed a flat circuit onto the spec's placed cells and stage it.
 
-    ``one-per-stage`` gives every gate its own stage. ``greedy`` packs each
-    gate into the earliest stage whose cells are untouched, scanning back
-    from the end until a dependency, which preserves per-qubit program
-    order; barriers fence their qubits so nothing packs across them.
+    ``one-per-stage`` gives every gate its own stage. ``greedy`` schedules
+    ASAP: each gate joins the first stage after the last one that touches
+    its cells, or that a barrier on them fences off, which preserves
+    per-qubit program order.
     """
     if packing not in (GREEDY, ONE_PER_STAGE):
         raise ValueError(f"unknown packing {packing!r}")
-    placed = sorted(q.y * spec.grid_side + q.x for q in spec.qubits)
+    placed = sorted(grid.initial_state(spec).occupancy)
     if circuit.qubit_count > len(placed):
         raise TooManyQubits(
             f"circuit uses {circuit.qubit_count} qubits, architecture places {len(placed)}"
         )
 
     stages: list[list[Gate]] = []
-    stage_cells: list[set[int]] = []
-    fence: dict[int, int] = {}
-
+    ready: dict[int, int] = {}  # cell -> first stage a gate on it may join
     for op in circuit.ops:
         if isinstance(op, FlatBarrier):
-            targets = op.qubits if op.qubits else range(circuit.qubit_count)
-            for q in targets:
-                fence[placed[q]] = len(stages)
+            for q in op.qubits or range(circuit.qubit_count):
+                ready[placed[q]] = len(stages)
             continue
         cells = tuple(placed[q] for q in op.qubits)
         gate = Gate(op.name, op.params, cells)
-        if packing == ONE_PER_STAGE:
-            stages.append([gate])
-            stage_cells.append(set(cells))
-            continue
-        k = len(stages)
-        while k > 0 and not stage_cells[k - 1].intersection(cells):
-            k -= 1
-        k = max([k] + [fence.get(c, 0) for c in cells])
+        k = len(stages) if packing == ONE_PER_STAGE else max(ready.get(c, 0) for c in cells)
         if k == len(stages):
             stages.append([])
-            stage_cells.append(set())
         stages[k].append(gate)
-        stage_cells[k].update(cells)
+        for c in cells:
+            ready[c] = k + 1
 
     return Program(1, 0, tuple(Stage(tuple(ops)) for ops in stages))

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from .arch import ArchitectureSpec, effective_coherence_time
 from .errors import CoherenceBudgetExceeded, InvalidInput, NonFiniteResult
@@ -88,7 +88,30 @@ _PRESETS = {
 
 
 # checked in this order; the first one that is not finite is reported
-_FINITE_FIELDS = ("t_total_us", "t_idle_us", "f_decoherence", "f_gates", "f_movements", "asp")
+_FINITE_FIELDS = (
+    "t_total_us", "t_idle_us", "f_decoherence", "f_gates", "f_movements", "asp",
+    "total_move_distance_cells",
+)
+
+
+_R = TypeVar("_R")
+
+
+def _finite(compute: Callable[[], _R], names: tuple[str, ...]) -> _R:
+    """``compute()``, with the fields ``names`` of its result checked in order.
+
+    Raises NonFiniteResult when the hardware numbers take one of those fields,
+    or a power or quotient on the way, out of the finite floats.
+    """
+    try:
+        result = compute()
+    except ArithmeticError as exc:  # ZeroDivisionError after an underflow, or OverflowError
+        raise NonFiniteResult(f"the hardware numbers leave the float range: {exc}") from exc
+    for name in names:
+        value = getattr(result, name)
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"{name} is {value}: the hardware numbers leave the float range")
+    return result
 
 
 def _evaluate(
@@ -99,29 +122,15 @@ def _evaluate(
     Raises NonFiniteResult when the hardware numbers take a reported field, or
     a power or quotient on the way, out of the finite floats.
     """
-    try:
-        t_total, t_idle, f_decoherence, f_gates = _price(trace, spec, preset or _PRESETS[model])
-    except ArithmeticError as exc:  # ZeroDivisionError after an underflow, or OverflowError
-        raise NonFiniteResult(f"the hardware numbers leave the float range: {exc}") from exc
-    result = trace.breakdown(
-        model.value,
-        spec,
-        f_decoherence=f_decoherence,
-        f_gates=f_gates,
-        t_total_us=t_total,
-        t_idle_us=t_idle,
-    )
-    for name in _FINITE_FIELDS:
-        value = getattr(result, name)
-        if not math.isfinite(value):
-            raise NonFiniteResult(f"{name} is {value}: the hardware numbers leave the float range")
-    return result
+    preset = preset or _PRESETS[model]
+    return _finite(lambda: _price(trace, spec, model, preset), _FINITE_FIELDS)
 
 
 def _price(
-    trace: ProgramTrace, spec: ArchitectureSpec, preset: _Preset
-) -> tuple[float, float, float, float]:
-    """A preset's run time, idle time, decoherence factor and gate factor."""
+    trace: ProgramTrace, spec: ArchitectureSpec, model: Model, preset: _Preset
+) -> FidelityBreakdown:
+    """``model``'s breakdown from a preset's run time, idle time, decoherence
+    factor and gate factor."""
     travel, idle, coherence, cz_only, exposure = preset
     if travel is None:
         t_cz = gate_duration("cz", spec)
@@ -131,7 +140,7 @@ def _price(
         for _, cells in trace.stages:
             if cells is not None:
                 d_um += cells * spec.inter_qubit_distance
-        t_total = gate_stages * t_cz + s * spec.aod_transfer_time + d_um / spec.move_speed
+        t_total = gate_stages * t_cz + s * spec.aod_transfer_time + _linear_travel(d_um, spec)
     else:
         t_total = trace.run_time_us(
             lambda cells: 2.0 * spec.aod_transfer_time
@@ -169,7 +178,14 @@ def _price(
     f_gates = gate_fidelity("cz", spec) ** g2 if cz_only else trace.f_gates
     if exposure:
         f_gates *= spec.excitement_fidelity ** (spec.qubit_count * len(trace.stages) - 2 * g2)
-    return t_total, t_idle, f_decoherence, f_gates
+    return trace.breakdown(
+        model.value,
+        spec,
+        f_decoherence=f_decoherence,
+        f_gates=f_gates,
+        t_total_us=t_total,
+        t_idle_us=t_idle,
+    )
 
 
 def evaluate_unified(program: Program, spec: ArchitectureSpec) -> FidelityBreakdown:
@@ -243,25 +259,29 @@ class WhatIfResult:
     f_movements: float
 
 
+_WHATIF_FIELDS = tuple(f.name for f in fields(WhatIfResult))
+
+
 def whatif_collapse(w: WhatIfInput, spec: ArchitectureSpec) -> WhatIfResult:
     """Recompute decoherence and movement fidelity after removing moves.
 
     The saved travel time is delta_T = saved_distance * spacing / speed; it
     shortens the schedule for all n qubits at once, so idle time drops by
     n * delta_T. Raises InvalidInput when the resulting idle time would be
-    negative.
+    negative, and NonFiniteResult when the hardware numbers take a field, or
+    a quotient on the way, out of the finite floats.
     """
-    delta_t_move = w.saved_distance_cells * spec.inter_qubit_distance / spec.move_speed
+    delta_t_move = _linear_travel(w.saved_distance_cells * spec.inter_qubit_distance, spec)
     delta_t_idle = w.n * delta_t_move
     t_idle_new = w.old_t_idle_us - delta_t_idle
     if t_idle_new < 0:
         raise InvalidInput(
             f"collapsing would drive idle time negative ({t_idle_new} us)"
         )
-    return WhatIfResult(
+    return _finite(lambda: WhatIfResult(
         delta_t_move_us=delta_t_move,
         delta_t_idle_us=delta_t_idle,
         t_idle_new_us=t_idle_new,
         f_decoherence=decoherence_fidelity(t_idle_new, effective_coherence_time(spec)),
         f_movements=movement_fidelity(w.new_move_count, spec.transfer_fidelity),
-    )
+    ), _WHATIF_FIELDS)

@@ -47,13 +47,14 @@ time (empty stages dropped) when each event is recorded.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from . import grid
 from .arch import ArchitectureSpec
-from .errors import IllegalInput, IllegalStage
+from .errors import IllegalInput, IllegalStage, NonFiniteResult
 from .rsqasm import Instruction, Move, Program, Stage
 
 logger = logging.getLogger(__name__)
@@ -215,7 +216,8 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
 
     The input must be legal under grid simulation from the spec's initial
     placement (IllegalInput otherwise). The result is legal and reaches the
-    same final atom-to-cell mapping as the input.
+    same final atom-to-cell mapping as the input. Raises NonFiniteResult when
+    the input's moves travel farther in total than the largest float.
     """
     try:
         grid.simulate(grid.initial_state(spec), program)
@@ -225,6 +227,9 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
 
     work = [list(stage) for stage in program.stages]
     moves_before, distance_before = _move_stats(work, side)
+    # no rewrite lengthens the total, so the later distances are finite too
+    if not math.isfinite(distance_before):
+        raise NonFiniteResult(f"the moves travel {distance_before} cells in total")
     rewrite = _Pass(work)
     rewrite.run()
     collapsed = rewrite.program(program) if rewrite.events else program

@@ -1,6 +1,7 @@
 """Finite hardware numbers whose products overflow must never put NaN or an
-infinity in a report: every model returns finite fields or raises a domain
-error, and the command line exits 2 instead of printing such a number."""
+infinity in a report: every model, ``whatif`` and ``normalize`` return finite
+fields or raise a domain error, and the command line exits 2 instead of
+printing such a number."""
 
 import contextlib
 import dataclasses
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from na_evalkit import (
+    cell_distance,
     evaluate_enola,
     evaluate_model,
     parse_architecture,
@@ -22,7 +24,8 @@ from na_evalkit import (
 )
 from na_evalkit.cli import main
 from na_evalkit.errors import EvalKitError, NonFiniteResult
-from na_evalkit.models import Model
+from na_evalkit.models import Model, WhatIfInput, whatif_collapse
+from na_evalkit.normalize import collapse
 from helpers import arch_document, random_legal_program
 
 _POSITIVE = st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max)
@@ -68,6 +71,76 @@ def test_the_first_non_finite_field_is_named():
         evaluate_model(program, spec, Model.UNIFIED)
 
 
+def _huge_grid_document(side: int, move_speed: float = 0.55) -> str:
+    """Two atoms on cells 0 and 1 of a grid of the given side, however large."""
+    document = json.loads(arch_document(side=4, n_qubits=2, move_speed=move_speed))
+    document["properties"]["nRows_nColumns_grid_side_size"] = side
+    return json.dumps(document)
+
+
+def _assert_non_finite_exit(argv: list[str]):
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[NonFiniteResult]: ")
+
+
+@pytest.mark.parametrize("t", [sys.float_info.min, 1e308], ids=["underflow", "overflow"])
+def test_whatif_on_extreme_coherence_times_is_a_domain_error(tmp_path, t):
+    # t1*t2 underflows to 0, so -t_idle/t_eff divides by zero; or t1*t2 and
+    # t1 + t2 both overflow, so t_eff is inf/inf = NaN
+    document = arch_document(side=4, n_qubits=3, t1=t, t2=t)
+    arch = tmp_path / "arch.json"
+    arch.write_text(document)
+    _assert_non_finite_exit([
+        "whatif", str(arch), "--old-idle", "1", "--saved-distance", "0",
+        "--moves-before", "1", "--moves-after", "1", "--n", "3", "--format", "json",
+    ])
+    with pytest.raises(NonFiniteResult):
+        whatif_collapse(WhatIfInput(1.0, 0.0, 1, 1, 3), parse_architecture(document))
+
+
+def test_normalize_on_an_overflowing_total_distance_is_a_domain_error(tmp_path):
+    # two moves of about 1e308 cells each: each distance is finite, their sum is not
+    side = 10**308
+    far = side - 1
+    document = _huge_grid_document(side)
+    text = (
+        f"RSQASM 1.0;\nmove q[0], q[{far}];move q[1], q[{far * side}];\n"
+        f"move q[{far}], q[{far + side}];\n"
+    )
+    arch, circuit = tmp_path / "arch.json", tmp_path / "circuit.rsqasm"
+    arch.write_text(document)
+    circuit.write_text(text)
+    _assert_non_finite_exit(["normalize", str(circuit), str(arch), "--format", "json"])
+    with pytest.raises(NonFiniteResult):
+        collapse(parse_program(text), parse_architecture(document))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "normalize"])
+def test_a_distance_beyond_the_float_range_is_a_domain_error(tmp_path, command):
+    side = 10**400
+    arch, circuit = tmp_path / "arch.json", tmp_path / "circuit.rsqasm"
+    arch.write_text(_huge_grid_document(side))
+    circuit.write_text(f"RSQASM 1.0;\nmove q[0], q[{10**399}];\n")
+    _assert_non_finite_exit([command, str(circuit), str(arch), "--format", "json"])
+    with pytest.raises(NonFiniteResult):
+        cell_distance(0, 10**399, side)
+
+
+def test_an_overflowing_total_distance_is_never_reported(tmp_path):
+    # each stage's longest move is finite, so the run time is too, but the
+    # two moves of one stage sum to more than the largest float
+    side = 10**308
+    far = side - 1
+    arch, circuit = tmp_path / "arch.json", tmp_path / "circuit.rsqasm"
+    arch.write_text(_huge_grid_document(side, move_speed=100.0))
+    circuit.write_text(f"RSQASM 1.0;\nmove q[0], q[{far}];move q[1], q[{far * side}];\n")
+    for model in (Model.UNIFIED, Model.HYBRIDMAPPER, Model.DASATOM):  # enola's d/v**2 idles past t2
+        _assert_non_finite_exit(
+            ["evaluate", str(circuit), str(arch), "--model", model.value, "--format", "json"]
+        )
+
+
 @st.composite
 def _documents(draw):
     """A hardware document whose every time, speed and distance may be as
@@ -107,18 +180,34 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("finite")
 
 
+@st.composite
+def _whatif_args(draw):
+    before = draw(st.integers(0, 10))
+    return [
+        "--old-idle", repr(draw(st.floats(0.0, sys.float_info.max))),
+        "--saved-distance", repr(draw(st.floats(0.0, sys.float_info.max))),
+        "--moves-before", str(before),
+        "--moves-after", str(draw(st.integers(0, before))),
+        "--n", str(draw(st.integers(1, 6))),
+    ]
+
+
 @settings(max_examples=60, deadline=None)
-@given(_documents(), st.integers(0, 2**32 - 1))
-def test_no_report_prints_a_non_finite_number(workdir, document, seed):
+@given(_documents(), st.integers(0, 2**32 - 1), _whatif_args())
+def test_no_report_prints_a_non_finite_number(workdir, document, seed, whatif_args):
     arch = workdir / "arch.json"
     arch.write_text(document)
     spec = parse_architecture(document)
     circuit = workdir / "circuit.rsqasm"
     circuit.write_text(serialize_program(random_legal_program(random.Random(seed), spec, max_stages=6)))
-    for model in Model:
-        code, out, _ = _run(
-            ["evaluate", str(circuit), str(arch), "--model", model.value, "--format", "json"]
-        )
-        assert code in (0, 2)
+    runs = [
+        ["evaluate", str(circuit), str(arch), "--model", model.value, "--format", "json"]
+        for model in Model
+    ]
+    runs.append(["whatif", str(arch), *whatif_args, "--format", "json"])
+    runs.append(["normalize", str(circuit), str(arch), "--format", "json"])
+    for argv in runs:
+        code, out, _ = _run(argv)
+        assert code in (0, 2), argv
         if code == 0:
             json.loads(out, parse_constant=_reject_constant)
