@@ -1,16 +1,19 @@
 """Command-line front end: validate, evaluate, normalize, compare, whatif.
 
 Reports go to stdout (table, json, or csv), diagnostics to stderr.
-Exit codes: 0 success, 1 I/O or usage error, 2 domain error. Table mode
-renders fidelities as percentages with two decimals (half-to-even); json
-and csv carry full precision. Set NA_EVALKIT_COLOR=always|never|auto to
-control ANSI styling of table headers.
+Exit codes: 0 success, 1 I/O or usage error, 2 domain error. A report's
+table and csv columns are the scalar fields of its dataclass, in field order.
+Table mode renders fidelities as percentages with two decimals (half-to-even),
+and magnitudes from 1e16 on in scientific notation; json and csv carry full
+precision. Set NA_EVALKIT_COLOR=always|never|auto to control ANSI styling of
+table headers.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -20,26 +23,26 @@ import warnings
 from . import __version__, grid, normalize
 from .arch import ArchitectureSpec, parse_architecture
 from .errors import EvalKitError, IllegalStage, InvalidInput, MalformedDocument, RsqasmSyntaxError
-from .models import Model, WhatIfInput, evaluate_model, whatif_collapse
+from .evaluator import FidelityBreakdown
+from .models import Model, WhatIfInput, WhatIfResult, evaluate_model, whatif_collapse
 from .rsqasm import Program, parse_program, serialize_program
 
 TOOL = "na-evalkit"
 
-# column -> kind; "percent" formats as 100*x with 2 decimals in table mode
-_METRIC_COLUMNS = [
-    ("f_decoherence", "percent"),
-    ("f_gates", "percent"),
-    ("f_movements", "percent"),
-    ("asp", "percent"),
-    ("t_total_us", "number"),
-    ("t_idle_us", "number"),
-    ("gate_count", "int"),
-    ("one_qubit_gate_count", "int"),
-    ("two_qubit_gate_count", "int"),
-    ("move_count", "int"),
-    ("stage_count", "int"),
-    ("total_move_distance_cells", "number"),
-]
+# field annotation -> column kind; "percent" formats as 100*x with 2 decimals
+# in table mode. Fields of any other annotation are not columns.
+_KINDS = {"Fidelity": "percent", "float": "number", "int": "int", "str": "str"}
+
+
+def _columns(report: type) -> list[tuple[str, str]]:
+    """(name, kind) of each scalar field of a report dataclass, in field order."""
+    return [(f.name, _KINDS[f.type]) for f in dataclasses.fields(report) if f.type in _KINDS]
+
+
+_EVALUATE_COLUMNS = _columns(FidelityBreakdown)  # "model" first, then the metrics
+_METRIC_COLUMNS = [column for column in _EVALUATE_COLUMNS if column[0] != "model"]
+_NORMALIZE_COLUMNS = _columns(normalize.NormalizationReport)
+_WHATIF_COLUMNS = _columns(WhatIfResult)
 
 
 def _use_color() -> bool:
@@ -52,8 +55,9 @@ def _use_color() -> bool:
 
 
 def _fmt_number(value: float) -> str:
-    text = f"{value:.4f}".rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
+    if abs(value) >= 1e16:
+        return f"{value:.4e}"
+    return f"{value:.4f}".rstrip("0").rstrip(".")
 
 
 def _fmt_cell(value, kind: str) -> str:
@@ -92,7 +96,9 @@ def _render_csv(columns: list[tuple[str, str]], rows: list[dict]) -> str:
 
 
 def _emit(report: dict, columns: list[tuple[str, str]], rows: list[dict], fmt: str):
+    """Write ``rows`` as a table or csv, or ``report`` as json under the tool's head."""
     if fmt == "json":
+        report = {"tool": TOOL, "version": __version__, **report}
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     elif fmt == "csv":
         sys.stdout.write(_render_csv(columns, rows))
@@ -156,27 +162,11 @@ def cmd_validate(args) -> int:
 def cmd_evaluate(args) -> int:
     program, spec = _load(args.circuit, args.arch)
     breakdown = evaluate_model(program, spec, args.model)
-    metrics = _fields(breakdown, _METRIC_COLUMNS)
-    row = {"model": breakdown.model, **metrics}
-    report = {
-        "tool": TOOL,
-        "version": __version__,
-        "model": breakdown.model,
-        "circuit": args.circuit,
-        "architecture": args.arch,
-        **metrics,
-    }
-    _emit(report, [("model", "str")] + _METRIC_COLUMNS, [row], args.format)
+    row = _fields(breakdown, _EVALUATE_COLUMNS)
+    # "model" keeps its place ahead of the paths when ``row`` fills in the rest
+    report = {"model": breakdown.model, "circuit": args.circuit, "architecture": args.arch, **row}
+    _emit(report, _EVALUATE_COLUMNS, [row], args.format)
     return 0
-
-
-_NORMALIZE_COLUMNS = [
-    ("moves_before", "int"),
-    ("moves_after", "int"),
-    ("distance_before_cells", "number"),
-    ("distance_after_cells", "number"),
-    ("saved_distance_cells", "number"),
-]
 
 
 def cmd_normalize(args) -> int:
@@ -188,8 +178,6 @@ def cmd_normalize(args) -> int:
     fields = _fields(rep, _NORMALIZE_COLUMNS)
     row = {**fields, "rewrites": len(rep.rewrites_applied)}
     report = {
-        "tool": TOOL,
-        "version": __version__,
         "circuit": args.circuit,
         "architecture": args.arch,
         **fields,
@@ -213,25 +201,10 @@ def cmd_compare(args) -> int:
         except EvalKitError as exc:
             failed = True
             rows.append({"circuit": path, "error": f"{exc.code}: {exc}"})
-    report = {
-        "tool": TOOL,
-        "version": __version__,
-        "model": args.model,
-        "architecture": args.arch,
-        "rows": rows,
-    }
+    report = {"model": args.model, "architecture": args.arch, "rows": rows}
     columns = [("circuit", "str")] + _METRIC_COLUMNS + [("error", "str")]
     _emit(report, columns, rows, args.format)
     return 2 if failed else 0
-
-
-_WHATIF_COLUMNS = [
-    ("delta_t_move_us", "number"),
-    ("delta_t_idle_us", "number"),
-    ("t_idle_new_us", "number"),
-    ("f_decoherence", "percent"),
-    ("f_movements", "percent"),
-]
 
 
 def cmd_whatif(args) -> int:
@@ -247,8 +220,7 @@ def cmd_whatif(args) -> int:
         spec,
     )
     row = _fields(result, _WHATIF_COLUMNS)
-    report = {"tool": TOOL, "version": __version__, "architecture": args.arch, **row}
-    _emit(report, _WHATIF_COLUMNS, [row], args.format)
+    _emit({"architecture": args.arch, **row}, _WHATIF_COLUMNS, [row], args.format)
     return 0
 
 

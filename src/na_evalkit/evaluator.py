@@ -24,27 +24,31 @@ from .arch import ArchitectureSpec
 from .errors import NegativeIdleTime, UnknownGate
 from .rsqasm import Instruction, Move, Program
 
+# a probability in [0, 1]; table output shows it as a percentage
+Fidelity = float
+
 
 @dataclass(frozen=True)
 class FidelityBreakdown:
     """One model's numbers for a circuit (``model`` names which one).
 
     Per-stage and per-atom facts live on :class:`ProgramTrace`, not here.
+    The CLI's table and csv columns are these fields, in this order.
     """
 
     model: str
-    f_decoherence: float
-    f_gates: float
-    f_movements: float
-    asp: float
+    f_decoherence: Fidelity
+    f_gates: Fidelity
+    f_movements: Fidelity
+    asp: Fidelity
     t_total_us: float
     t_idle_us: float
     gate_count: int
     one_qubit_gate_count: int
     two_qubit_gate_count: int
     move_count: int
-    total_move_distance_cells: float
     stage_count: int
+    total_move_distance_cells: float
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,8 @@ class ProgramTrace:
             one_qubit_gate_count=self.one_qubit_gates,
             two_qubit_gate_count=self.two_qubit_gates,
             move_count=self.move_count,
-            total_move_distance_cells=self.move_distance_cells,
             stage_count=len(self.stages),
+            total_move_distance_cells=self.move_distance_cells,
         )
 
 

@@ -16,12 +16,13 @@ numeric literals (radians).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from . import grid
 from .arch import ArchitectureSpec
-from .errors import RsqasmSyntaxError, TooManyQubits, UnsupportedConstruct
+from .errors import ParamError, RsqasmSyntaxError, TooManyQubits, UnsupportedConstruct
 from .rsqasm import (
     Gate,
     NATIVE_GATES,
@@ -161,6 +162,8 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
         want = 1 if name in ONE_PARAM_GATES else 0
         if len(params) != want:
             raise RsqasmSyntaxError(f"{name} takes {want} parameter(s), got {len(params)}")
+        if params and not math.isfinite(params[0]):  # a literal such as 1e999
+            raise ParamError(f"{name} parameter must be finite, got {params[0]!r}")
         indices, bare = _parse_operands(operand_text, register)
         if bare:
             raise UnsupportedConstruct("gates on a whole register are not supported")

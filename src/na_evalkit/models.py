@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, TypeVar
 from .arch import ArchitectureSpec, effective_coherence_time
 from .errors import CoherenceBudgetExceeded, InvalidInput, NonFiniteResult
 from .evaluator import (
+    Fidelity,
     FidelityBreakdown,
     ProgramTrace,
     decoherence_fidelity,
@@ -87,7 +88,9 @@ _PRESETS = {
 }
 
 
-# checked in this order; the first one that is not finite is reported
+# checked in this order, and the first one that is not finite is reported:
+# times before the factors computed from them, so the order is causal and
+# deliberately not FidelityBreakdown's field order
 _FINITE_FIELDS = (
     "t_total_us", "t_idle_us", "f_decoherence", "f_gates", "f_movements", "asp",
     "total_move_distance_cells",
@@ -255,8 +258,8 @@ class WhatIfResult:
     delta_t_move_us: float
     delta_t_idle_us: float
     t_idle_new_us: float
-    f_decoherence: float
-    f_movements: float
+    f_decoherence: Fidelity
+    f_movements: Fidelity
 
 
 _WHATIF_FIELDS = tuple(f.name for f in fields(WhatIfResult))

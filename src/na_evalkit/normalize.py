@@ -79,13 +79,17 @@ class NormalizationReport:
 
 
 def _move_stats(stages: list[list[Instruction]], side: int) -> tuple[int, float]:
+    """Move count and total distance, each stage's moves summed first and the
+    stage sums then added in order, as :func:`evaluator.trace_program` does."""
     count = 0
     distance = 0.0
     for ops in stages:
+        stage_distance = 0.0
         for op in ops:
             if isinstance(op, Move):
                 count += 1
-                distance += grid.cell_distance(op.src, op.dst, side)
+                stage_distance += grid.cell_distance(op.src, op.dst, side)
+        distance += stage_distance
     return count, distance
 
 

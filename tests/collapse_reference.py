@@ -5,6 +5,10 @@ kept verbatim as a slow oracle. After every committed rewrite it rescans the
 program from stage 0, and it checks each candidate by building the rewritten
 :class:`Program` and simulating it from the initial placement. The fast pass
 must commit the same rewrites in the same order and emit the same program.
+
+Only its move distances changed since: like the report's, they add each
+stage's moves first and then the stage sums in order, as
+:func:`na_evalkit.evaluator.trace_program` does.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ def _move_stats(stages: list[list[Instruction]], side: int) -> tuple[int, float]
     count = 0
     distance = 0.0
     for ops in stages:
+        stage_distance = 0.0
         for op in ops:
             if isinstance(op, Move):
                 count += 1
-                distance += grid.cell_distance(op.src, op.dst, side)
+                stage_distance += grid.cell_distance(op.src, op.dst, side)
+        distance += stage_distance
     return count, distance
 
 

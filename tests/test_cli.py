@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from na_evalkit.cli import _render_table, main
+from na_evalkit import FidelityBreakdown, NormalizationReport, WhatIfResult
+from na_evalkit.cli import _columns, _fmt_cell, _render_table, main
 from helpers import GOLDEN_TEXT, arch_document
 
 NESTED_TEXT = (
@@ -174,6 +176,78 @@ def test_percent_rounding_half_to_even():
     columns = [("x", "percent")]
     assert _render_table(columns, [{"x": 0.01125}]).splitlines()[1] == "1.12"
     assert _render_table(columns, [{"x": 0.01375}]).splitlines()[1] == "1.38"
+
+
+@pytest.mark.parametrize("value, shown", [
+    (1e306, "1.0000e+306"),
+    (-2.5e16, "-2.5000e+16"),
+    (1e16, "1.0000e+16"),
+    (9999999999999998.0, "9999999999999998"),
+    (-0.00001, "-0"),
+])
+def test_table_numbers_switch_to_scientific_at_1e16(value, shown):
+    assert _render_table([("x", "number")], [{"x": value}]).splitlines()[1] == shown
+
+
+# each command's columns and their kinds, written out so that a report field
+# moved, renamed or re-annotated changes a pinned header or cell
+_BREAKDOWN_COLUMNS = [
+    ("f_decoherence", "percent"), ("f_gates", "percent"), ("f_movements", "percent"),
+    ("asp", "percent"), ("t_total_us", "number"), ("t_idle_us", "number"),
+    ("gate_count", "int"), ("one_qubit_gate_count", "int"), ("two_qubit_gate_count", "int"),
+    ("move_count", "int"), ("stage_count", "int"), ("total_move_distance_cells", "number"),
+]
+_COMMAND_COLUMNS = {
+    "evaluate": [("model", "str")] + _BREAKDOWN_COLUMNS,
+    "normalize": [
+        ("moves_before", "int"), ("moves_after", "int"), ("distance_before_cells", "number"),
+        ("distance_after_cells", "number"), ("saved_distance_cells", "number"),
+        ("rewrites", "int"),
+    ],
+    "compare": [("circuit", "str")] + _BREAKDOWN_COLUMNS + [("error", "str")],
+    "whatif": [
+        ("delta_t_move_us", "number"), ("delta_t_idle_us", "number"),
+        ("t_idle_new_us", "number"), ("f_decoherence", "percent"), ("f_movements", "percent"),
+    ],
+}
+
+
+def _command_argv(command, files):
+    return {
+        "evaluate": ["evaluate", files["circuit"], files["arch"]],
+        "normalize": ["normalize", files["circuit"], files["arch"]],
+        "compare": ["compare", files["circuit"], "--arch", files["arch"]],
+        "whatif": [
+            "whatif", files["arch"], "--old-idle", "2747600", "--saved-distance", "6003.69",
+            "--moves-before", "1828", "--moves-after", "937", "--n", "30",
+        ],
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_COLUMNS))
+def test_table_and_csv_columns_are_pinned(command, files, capsys):
+    columns = _COMMAND_COLUMNS[command]
+    names = [name for name, _ in columns]
+    argv = _command_argv(command, files)
+    outputs = {}
+    for fmt in ("json", "csv", "table"):
+        assert main(argv + ["--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+    assert outputs["csv"].splitlines()[0].split(",") == names
+    header, row = outputs["table"].splitlines()
+    assert header.split() == names
+    # each cell is formatted by its pinned kind: a fidelity as a percentage
+    report = json.loads(outputs["json"])
+    values = report["rows"][0] if command == "compare" else report
+    values["rewrites"] = len(report.get("rewrites_applied", ()))
+    assert row.split() == [c for c in (_fmt_cell(values[n], k) for n, k in columns) if c]
+
+
+@pytest.mark.parametrize("report", [FidelityBreakdown, NormalizationReport, WhatIfResult])
+def test_every_report_field_is_a_column(report):
+    # a field whose annotation has no column kind would vanish from the table
+    columns = {name for name, _ in _columns(report)}
+    assert {f.name for f in dataclasses.fields(report)} - columns <= {"rewrites_applied"}
 
 
 def test_normalize_reports_and_emits(files, tmp_path, capsys):

@@ -11,7 +11,7 @@ from na_evalkit import (
     simulate,
     to_rsqasm,
 )
-from na_evalkit.errors import RsqasmSyntaxError, TooManyQubits, UnsupportedConstruct
+from na_evalkit.errors import ParamError, RsqasmSyntaxError, TooManyQubits, UnsupportedConstruct
 from na_evalkit.ingest import GREEDY, ONE_PER_STAGE
 from helpers import make_spec
 
@@ -76,6 +76,13 @@ def test_symbolic_angle_rejected():
 def test_numeric_angle_parsed():
     circuit = parse_flat_qasm("rz(0.785) q[0];")
     assert circuit.gates[0].params == (0.785,)
+
+
+@pytest.mark.parametrize("angle, shown", [("1e999", "inf"), ("-1e999", "-inf")])
+def test_angle_beyond_the_float_range_rejected(angle, shown):
+    # the circuit parser rejects the same literal; the adapter must not pass inf on
+    with pytest.raises(ParamError, match=f"^rz parameter must be finite, got {shown}$"):
+        parse_flat_qasm(f"qreg q[1]; rz({angle}) q[0];")
 
 
 def test_index_beyond_register_rejected():

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,10 @@ from na_evalkit import (
     Program,
     Stage,
     collapse,
+    evaluate_unified,
     grid,
     initial_state,
+    parse_architecture,
     parse_program,
     serialize_program,
     simulate,
@@ -250,3 +253,35 @@ def test_collapse_matches_reference_on_seeded_programs():
         # a commit earlier than the one before it came from a re-check
         revived += sum(b.stages[0] < a.stages[0] for a, b in zip(events, events[1:]))
     assert rewrites > 1000 and revived > 0
+
+
+def _assert_move_figures_equal_evaluate(program, spec):
+    collapsed, report = collapse(program, spec)
+    before, after = evaluate_unified(program, spec), evaluate_unified(collapsed, spec)
+    assert report.moves_before == before.move_count
+    assert report.distance_before_cells == before.total_move_distance_cells
+    assert report.moves_after == after.move_count
+    # the clamp against a 1-ulp overshoot of an exact collinear merge stays
+    assert report.distance_after_cells == min(
+        after.total_move_distance_cells, report.distance_before_cells
+    )
+    return len(report.rewrites_applied)
+
+
+@pytest.mark.parametrize("case", ["dense", "table1"])
+def test_move_figures_equal_evaluate_on_golden_circuits(case):
+    folder = Path(__file__).parent / "golden" / case
+    spec = parse_architecture((folder / "arch.json").read_text(encoding="utf-8"))
+    program = parse_program((folder / "circuit.rsqasm").read_text(encoding="utf-8"))
+    assert _assert_move_figures_equal_evaluate(program, spec) > 0
+
+
+def test_move_figures_equal_evaluate_on_seeded_programs():
+    rng = random.Random(8128)
+    rewrites = 0
+    for _ in range(40):
+        side = rng.randint(6, 20)
+        spec = make_spec(side=side, cells=rng.sample(range(side * side), side * side // 4))
+        program = random_program_with_redundancy(rng, spec, patterns=rng.randint(5, 40))
+        rewrites += _assert_move_figures_equal_evaluate(program, spec)
+    assert rewrites > 0

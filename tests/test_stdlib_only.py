@@ -1,7 +1,10 @@
-"""na-evalkit depends on nothing outside the Python standard library.
+"""na-evalkit depends on nothing outside the Python standard library, and
+runs on the oldest Python it declares.
 
 Every absolute import in ``src/na_evalkit/*.py`` must name a standard-library
 module or ``na_evalkit`` itself; relative imports stay inside the package.
+Each module is parsed with the grammar of ``OLDEST``, so syntax newer than
+``requires-python`` in ``pyproject.toml`` fails here, whichever Python runs.
 """
 
 import ast
@@ -12,11 +15,12 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "na_evalkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
+OLDEST = (3, 10)  # requires-python = ">=3.10"
 
 
 def _absolute_imports(path: Path) -> list[str]:
     names = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
