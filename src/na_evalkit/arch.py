@@ -261,6 +261,7 @@ def serialize_architecture(spec: ArchitectureSpec) -> str:
 def effective_coherence_time(spec: ArchitectureSpec) -> float:
     """Effective coherence time in microseconds: t1*t2 / (t1 + t2).
 
-    Always strictly below min(t1, t2).
+    Strictly below min(t1, t2) while t1 + t2 is finite; beyond that, as for
+    t1 = t2 = 1e308, it is NaN, which a report refuses as NonFiniteResult.
     """
     return spec.t1 * spec.t2 / (spec.t1 + spec.t2)

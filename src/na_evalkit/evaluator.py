@@ -16,16 +16,27 @@ the physical distance ``cell_distance * inter_qubit_distance``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import grid
 from .arch import ArchitectureSpec
-from .errors import NegativeIdleTime, UnknownGate
+from .errors import NegativeIdleTime, NonFiniteResult, UnknownGate
 from .rsqasm import Instruction, Move, Program
 
 # a probability in [0, 1]; table output shows it as a percentage
 Fidelity = float
+
+
+def require_finite(report) -> None:
+    """Raise NonFiniteResult naming the first field of a report dataclass
+    that is NaN or an infinity: the times and distances (``float``) first,
+    then the fidelities computed from them, each group in field order."""
+    for kind in ("float", "Fidelity"):
+        for field in fields(report):
+            value = getattr(report, field.name)
+            if field.type == kind and not math.isfinite(value):
+                raise NonFiniteResult(f"{field.name} is {value}: the inputs leave the float range")
 
 
 @dataclass(frozen=True)
@@ -49,6 +60,9 @@ class FidelityBreakdown:
     move_count: int
     stage_count: int
     total_move_distance_cells: float
+
+    def __post_init__(self):
+        require_finite(self)
 
 
 @dataclass(frozen=True)

@@ -16,21 +16,13 @@ numeric literals (radians).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 from . import grid
 from .arch import ArchitectureSpec
-from .errors import ParamError, RsqasmSyntaxError, TooManyQubits, UnsupportedConstruct
-from .rsqasm import (
-    Gate,
-    NATIVE_GATES,
-    ONE_PARAM_GATES,
-    Program,
-    Stage,
-    gate_arity,
-)
+from .errors import RsqasmSyntaxError, TooManyQubits, UnsupportedConstruct
+from .rsqasm import NATIVE_GATES, Gate, Program, Stage
 
 ONE_PER_STAGE = "one-per-stage"
 GREEDY = "greedy"
@@ -45,9 +37,16 @@ _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$", re.ASCII)
 
 @dataclass(frozen=True)
 class FlatGate:
+    """A native gate on logical qubits, shaped by :class:`Gate`'s rules."""
+
     name: str
     params: tuple[float, ...]
     qubits: tuple[int, ...]
+
+    def __post_init__(self):
+        Gate(self.name, self.params, self.qubits)  # raises the circuit parser's errors
+        if len(set(self.qubits)) != len(self.qubits):
+            raise RsqasmSyntaxError(f"{self.name} operands must be distinct qubits")
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,9 @@ def _index(digits: str) -> int:
         raise RsqasmSyntaxError(f"index has too many digits ({len(digits)})") from None
 
 
-def _parse_operands(text: str, register: str | None) -> tuple[list[int], bool]:
-    """Parse a comma-separated operand list; returns (indices, saw_bare_register)."""
+def _parse_operands(text: str, register: str | None) -> tuple[str, list[int], bool]:
+    """Parse a comma-separated operand list over ``register``, or the first one
+    named when that is None; returns (register, indices, saw_bare_register)."""
     indices: list[int] = []
     bare = False
     for part in text.split(","):
@@ -87,13 +87,14 @@ def _parse_operands(text: str, register: str | None) -> tuple[list[int], bool]:
         if m is None:
             raise RsqasmSyntaxError(f"malformed operand {part.strip()!r}")
         name, idx = m.group(1), m.group(2)
-        if register is not None and name != register:
+        register = register or name
+        if name != register:
             raise UnsupportedConstruct(f"unknown register {name!r}")
         if idx is None:
             bare = True
         else:
             indices.append(_index(idx))
-    return indices, bare
+    return register, indices, bare
 
 
 def parse_flat_qasm(document: str) -> FlatCircuit:
@@ -102,9 +103,10 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
     Accepted statements: an ``OPENQASM`` header, ``include "qelib1.inc"``,
     at most one ``qreg``, native-gate applications, and ``barrier``.
     Everything else (measurement, classical registers, other includes,
-    multiple qregs, non-native gates) raises UnsupportedConstruct. When no
-    qreg is declared, the qubit count is inferred from the highest index
-    used.
+    multiple qregs, non-native gates) raises UnsupportedConstruct. Every
+    operand names one register: the declared one or, without a qreg, the
+    first one used, whose highest index then gives the qubit count. Gates
+    follow :class:`Gate`'s rules and raise its errors.
     """
     register: str | None = None
     declared: int | None = None
@@ -127,7 +129,7 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
             m = _QREG_RE.match(stmt)
             if m is None:
                 raise RsqasmSyntaxError(f"malformed qreg declaration {stmt!r}")
-            if register is not None:
+            if declared is not None or register not in (None, m.group(1)):
                 raise UnsupportedConstruct("multiple quantum registers are not supported")
             register, declared = m.group(1), _index(m.group(2))
             continue
@@ -136,12 +138,11 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
 
         if keyword == "barrier":
             rest = stmt[len("barrier"):].strip()
+            indices, bare = [], True  # a bare ``barrier`` fences every qubit
             if rest:
-                indices, bare = _parse_operands(rest, register)
-                ops.append(FlatBarrier(() if bare else tuple(indices)))
-                max_index = max(max_index, *indices) if indices else max_index
-            else:
-                ops.append(FlatBarrier(()))
+                register, indices, bare = _parse_operands(rest, register)
+            ops.append(FlatBarrier(() if bare else tuple(indices)))
+            max_index = max([max_index, *indices])
             continue
 
         if keyword not in NATIVE_GATES:
@@ -159,20 +160,9 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
                         f"non-numeric gate parameter {piece!r} (literals only)"
                     )
             params = tuple(float(p) for p in pieces)
-        want = 1 if name in ONE_PARAM_GATES else 0
-        if len(params) != want:
-            raise RsqasmSyntaxError(f"{name} takes {want} parameter(s), got {len(params)}")
-        if params and not math.isfinite(params[0]):  # a literal such as 1e999
-            raise ParamError(f"{name} parameter must be finite, got {params[0]!r}")
-        indices, bare = _parse_operands(operand_text, register)
+        register, indices, bare = _parse_operands(operand_text, register)
         if bare:
             raise UnsupportedConstruct("gates on a whole register are not supported")
-        if len(indices) != gate_arity(name):
-            raise RsqasmSyntaxError(
-                f"{name} takes {gate_arity(name)} operand(s), got {len(indices)}"
-            )
-        if len(set(indices)) != len(indices):
-            raise RsqasmSyntaxError(f"{name} operands must be distinct qubits")
         ops.append(FlatGate(name, params, tuple(indices)))
         max_index = max(max_index, *indices)
 

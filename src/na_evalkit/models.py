@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple
 
 from .arch import ArchitectureSpec, effective_coherence_time
 from .errors import CoherenceBudgetExceeded, InvalidInput, NonFiniteResult
@@ -28,6 +29,7 @@ from .evaluator import (
     gate_duration,
     gate_fidelity,
     movement_fidelity,
+    require_finite,
     trace_program,
 )
 from .rsqasm import Program
@@ -88,33 +90,14 @@ _PRESETS = {
 }
 
 
-# checked in this order, and the first one that is not finite is reported:
-# times before the factors computed from them, so the order is causal and
-# deliberately not FidelityBreakdown's field order
-_FINITE_FIELDS = (
-    "t_total_us", "t_idle_us", "f_decoherence", "f_gates", "f_movements", "asp",
-    "total_move_distance_cells",
-)
-
-
-_R = TypeVar("_R")
-
-
-def _finite(compute: Callable[[], _R], names: tuple[str, ...]) -> _R:
-    """``compute()``, with the fields ``names`` of its result checked in order.
-
-    Raises NonFiniteResult when the hardware numbers take one of those fields,
-    or a power or quotient on the way, out of the finite floats.
-    """
+@contextmanager
+def _finite():
+    """Raise a power or quotient that leaves the float range on the way as
+    NonFiniteResult; each report checks its own fields when it is built."""
     try:
-        result = compute()
+        yield
     except ArithmeticError as exc:  # ZeroDivisionError after an underflow, or OverflowError
-        raise NonFiniteResult(f"the hardware numbers leave the float range: {exc}") from exc
-    for name in names:
-        value = getattr(result, name)
-        if not math.isfinite(value):
-            raise NonFiniteResult(f"{name} is {value}: the hardware numbers leave the float range")
-    return result
+        raise NonFiniteResult(f"the inputs leave the float range: {exc}") from exc
 
 
 def _evaluate(
@@ -126,7 +109,8 @@ def _evaluate(
     a power or quotient on the way, out of the finite floats.
     """
     preset = preset or _PRESETS[model]
-    return _finite(lambda: _price(trace, spec, model, preset), _FINITE_FIELDS)
+    with _finite():
+        return _price(trace, spec, model, preset)
 
 
 def _price(
@@ -261,8 +245,8 @@ class WhatIfResult:
     f_decoherence: Fidelity
     f_movements: Fidelity
 
-
-_WHATIF_FIELDS = tuple(f.name for f in fields(WhatIfResult))
+    def __post_init__(self):
+        require_finite(self)
 
 
 def whatif_collapse(w: WhatIfInput, spec: ArchitectureSpec) -> WhatIfResult:
@@ -271,20 +255,21 @@ def whatif_collapse(w: WhatIfInput, spec: ArchitectureSpec) -> WhatIfResult:
     The saved travel time is delta_T = saved_distance * spacing / speed; it
     shortens the schedule for all n qubits at once, so idle time drops by
     n * delta_T. Raises InvalidInput when the resulting idle time would be
-    negative, and NonFiniteResult when the hardware numbers take a field, or
-    a quotient on the way, out of the finite floats.
+    negative, and NonFiniteResult when the inputs take a field, or a product
+    or quotient on the way, out of the finite floats.
     """
-    delta_t_move = _linear_travel(w.saved_distance_cells * spec.inter_qubit_distance, spec)
-    delta_t_idle = w.n * delta_t_move
-    t_idle_new = w.old_t_idle_us - delta_t_idle
-    if t_idle_new < 0:
-        raise InvalidInput(
-            f"collapsing would drive idle time negative ({t_idle_new} us)"
+    with _finite():
+        delta_t_move = _linear_travel(w.saved_distance_cells * spec.inter_qubit_distance, spec)
+        delta_t_idle = w.n * delta_t_move
+        t_idle_new = w.old_t_idle_us - delta_t_idle
+        if t_idle_new < 0:
+            raise InvalidInput(
+                f"collapsing would drive idle time negative ({t_idle_new} us)"
+            )
+        return WhatIfResult(
+            delta_t_move_us=delta_t_move,
+            delta_t_idle_us=delta_t_idle,
+            t_idle_new_us=t_idle_new,
+            f_decoherence=decoherence_fidelity(t_idle_new, effective_coherence_time(spec)),
+            f_movements=movement_fidelity(w.new_move_count, spec.transfer_fidelity),
         )
-    return _finite(lambda: WhatIfResult(
-        delta_t_move_us=delta_t_move,
-        delta_t_idle_us=delta_t_idle,
-        t_idle_new_us=t_idle_new,
-        f_decoherence=decoherence_fidelity(t_idle_new, effective_coherence_time(spec)),
-        f_movements=movement_fidelity(w.new_move_count, spec.transfer_fidelity),
-    ), _WHATIF_FIELDS)

@@ -47,14 +47,14 @@ time (empty stages dropped) when each event is recorded.
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from . import grid
 from .arch import ArchitectureSpec
-from .errors import IllegalInput, IllegalStage, NonFiniteResult
+from .errors import IllegalInput, IllegalStage
+from .evaluator import require_finite
 from .rsqasm import Instruction, Move, Program, Stage
 
 logger = logging.getLogger(__name__)
@@ -76,6 +76,9 @@ class NormalizationReport:
     distance_after_cells: float
     saved_distance_cells: float
     rewrites_applied: tuple[RewriteEvent, ...]
+
+    def __post_init__(self):
+        require_finite(self)
 
 
 def _move_stats(stages: list[list[Instruction]], side: int) -> tuple[int, float]:
@@ -231,9 +234,6 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
 
     work = [list(stage) for stage in program.stages]
     moves_before, distance_before = _move_stats(work, side)
-    # no rewrite lengthens the total, so the later distances are finite too
-    if not math.isfinite(distance_before):
-        raise NonFiniteResult(f"the moves travel {distance_before} cells in total")
     rewrite = _Pass(work)
     rewrite.run()
     collapsed = rewrite.program(program) if rewrite.events else program

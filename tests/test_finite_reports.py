@@ -71,6 +71,28 @@ def test_the_first_non_finite_field_is_named():
         evaluate_model(program, spec, Model.UNIFIED)
 
 
+def _valid_reports():
+    spec = parse_architecture(arch_document(side=4, n_qubits=3))
+    program = parse_program("RSQASM 1.0;\nh q[0];\nmove q[0], q[5];\nmove q[5], q[0];\n")
+    return [
+        evaluate_model(program, spec, Model.UNIFIED),
+        collapse(program, spec)[1],
+        whatif_collapse(WhatIfInput(100.0, 0.5, 2, 0, 3), spec),
+    ]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_no_report_holds_a_non_finite_field(value):
+    # every float and Fidelity field, read from the dataclass, so a field
+    # added later is covered too
+    for report in _valid_reports():
+        checked = [f.name for f in dataclasses.fields(report) if f.type in ("float", "Fidelity")]
+        assert checked, type(report).__name__
+        for name in checked:
+            with pytest.raises(NonFiniteResult, match=f"^{name} is {value}: "):
+                dataclasses.replace(report, **{name: value})
+
+
 def _huge_grid_document(side: int, move_speed: float = 0.55) -> str:
     """Two atoms on cells 0 and 1 of a grid of the given side, however large."""
     document = json.loads(arch_document(side=4, n_qubits=2, move_speed=move_speed))
@@ -112,8 +134,18 @@ def test_normalize_on_an_overflowing_total_distance_is_a_domain_error(tmp_path):
     arch.write_text(document)
     circuit.write_text(text)
     _assert_non_finite_exit(["normalize", str(circuit), str(arch), "--format", "json"])
-    with pytest.raises(NonFiniteResult):
+    with pytest.raises(NonFiniteResult, match="^distance_before_cells is inf: "):
         collapse(parse_program(text), parse_architecture(document))
+
+
+def test_whatif_on_a_count_beyond_the_float_range_is_a_domain_error(tmp_path):
+    # n * delta_T converts n to a float, and a 401-digit n has none
+    arch = tmp_path / "arch.json"
+    arch.write_text(arch_document(side=4, n_qubits=3))
+    _assert_non_finite_exit([
+        "whatif", str(arch), "--old-idle", "1", "--saved-distance", "0",
+        "--moves-before", "1", "--moves-after", "1", "--n", str(10**400), "--format", "json",
+    ])
 
 
 @pytest.mark.parametrize("command", ["evaluate", "normalize"])
@@ -182,13 +214,14 @@ def workdir(tmp_path_factory):
 
 @st.composite
 def _whatif_args(draw):
-    before = draw(st.integers(0, 10))
+    # counts small enough for a float, and beyond the float range
+    before = draw(st.integers(0, 10) | st.integers(0, 10**400))
     return [
         "--old-idle", repr(draw(st.floats(0.0, sys.float_info.max))),
         "--saved-distance", repr(draw(st.floats(0.0, sys.float_info.max))),
         "--moves-before", str(before),
         "--moves-after", str(draw(st.integers(0, before))),
-        "--n", str(draw(st.integers(1, 6))),
+        "--n", str(draw(st.integers(1, 6) | st.integers(1, 10**400))),
     ]
 
 

@@ -8,10 +8,18 @@ from na_evalkit import (
     evaluate_unified,
     initial_state,
     parse_flat_qasm,
+    parse_program,
     simulate,
     to_rsqasm,
 )
-from na_evalkit.errors import ParamError, RsqasmSyntaxError, TooManyQubits, UnsupportedConstruct
+from na_evalkit.errors import (
+    ArityError,
+    EvalKitError,
+    ParamError,
+    RsqasmSyntaxError,
+    TooManyQubits,
+    UnsupportedConstruct,
+)
 from na_evalkit.ingest import GREEDY, ONE_PER_STAGE
 from helpers import make_spec
 
@@ -98,6 +106,54 @@ def test_gate_on_whole_register_rejected():
 def test_duplicate_gate_operands_rejected():
     with pytest.raises(RsqasmSyntaxError):
         parse_flat_qasm("cz q[1], q[1];")
+
+
+
+def _raised(parse, text: str) -> EvalKitError:
+    with pytest.raises(EvalKitError) as info:
+        parse(text)
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "statement", ["rz q[0]", "h(0.5) q[0]", "cz q[0]", "h q[0], q[1]", "rz(1e999) q[0]"]
+)
+def test_malformed_gates_raise_what_the_circuit_parser_raises(statement):
+    staged = _raised(parse_program, f"RSQASM 1.0;\n{statement};\n")
+    flat = _raised(parse_flat_qasm, f"qreg q[2]; {statement};")
+    assert type(flat) is type(staged)
+    assert str(staged) == f"line 2, column 1: {flat}"
+
+
+@pytest.mark.parametrize("statement, error, message", [
+    ("ry(0.1, 0.2) q[0]", ParamError, "ry takes 1 parameter(s), got 2"),
+    ("h q[0], q[0]", ArityError, "h takes 1 operand(s), got 2"),
+    # an operand fault is reported before the parameter count
+    ("rz q", UnsupportedConstruct, "gates on a whole register are not supported"),
+])
+def test_flat_gate_faults(statement, error, message):
+    flat = _raised(parse_flat_qasm, f"qreg q[2]; {statement};")
+    assert (type(flat), str(flat)) == (error, message)
+
+
+def test_a_flat_gate_checks_its_shape_when_built():
+    with pytest.raises(ParamError, match=r"^rz takes 1 parameter\(s\), got 0$"):
+        FlatGate("rz", (), (0,))
+    with pytest.raises(RsqasmSyntaxError, match="^cz operands must be distinct qubits$"):
+        FlatGate("cz", (), (1, 1))
+
+
+@pytest.mark.parametrize("header", ["", "qreg q[2]; "])
+def test_one_register_per_circuit(header):
+    # without a qreg the first register used is the circuit's one register
+    with pytest.raises(UnsupportedConstruct, match="^unknown register 'r'$"):
+        parse_flat_qasm(f"{header}h q[0]; h r[0]; cz q[0], r[1];")
+
+
+def test_a_qreg_may_follow_gates_on_its_register():
+    assert parse_flat_qasm("h q[0]; qreg q[2]; h q[1];").qubit_count == 2
+    with pytest.raises(UnsupportedConstruct, match="^multiple quantum registers"):
+        parse_flat_qasm("h q[0]; qreg r[2]; h r[1];")
 
 
 # --- staging ---------------------------------------------------------------

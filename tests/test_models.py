@@ -246,6 +246,12 @@ def test_whatif_input_validation():
         WhatIfInput(100.0, 0.0, 5, 10, 30)  # move count grew
     with pytest.raises(InvalidInput):
         WhatIfInput(100.0, 0.0, 10, 5, 0)
+    with pytest.raises(InvalidInput, match="^move counts must be >= 0$"):
+        WhatIfInput(100.0, 0.0, 10, -1, 30)
+    with pytest.raises(InvalidInput, match="^move counts must be >= 0$"):
+        WhatIfInput(100.0, 0.0, -1, -2, 30)
+    with pytest.raises(InvalidInput, match="^idle time must be >= 0$"):
+        WhatIfInput(-1.0, 0.0, 10, 5, 30)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInput):
             WhatIfInput(bad, 0.0, 10, 5, 30)

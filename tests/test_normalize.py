@@ -255,6 +255,18 @@ def test_collapse_matches_reference_on_seeded_programs():
     assert rewrites > 1000 and revived > 0
 
 
+
+@pytest.mark.parametrize("seed", [603, 1294])
+def test_a_queued_move_removed_by_a_later_commit_is_skipped(seed):
+    # on these seeds a commit removes a move that an earlier commit queued
+    # for a re-check, before the worklist reaches it
+    rng = random.Random(seed)
+    side = rng.randint(2, 6)
+    n = rng.randint(1, side * side - 1)
+    spec = make_spec(side=side, cells=sorted(rng.sample(range(side * side), n)))
+    program = random_program_with_redundancy(rng, spec, patterns=rng.randint(3, 30))
+    assert _assert_matches_reference(program, spec)
+
 def _assert_move_figures_equal_evaluate(program, spec):
     collapsed, report = collapse(program, spec)
     before, after = evaluate_unified(program, spec), evaluate_unified(collapsed, spec)
