@@ -132,11 +132,7 @@ class NonFiniteResult(EvalKitError):
     code = "NonFiniteResult"
 
 
-# --- normalization / ingest errors ------------------------------------------
-
-class IllegalInput(EvalKitError):
-    code = "IllegalInput"
-
+# --- ingest errors -----------------------------------------------------------
 
 class UnsupportedConstruct(EvalKitError):
     code = "UnsupportedConstruct"

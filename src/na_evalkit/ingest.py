@@ -11,7 +11,7 @@ barrier or per-qubit program order.
 ``barrier`` statements are recognised and recorded but are never gates; in
 particular a barrier is never treated as a two-qubit operation, so it
 contributes nothing to gate counts or fidelity. Rotation angles must be
-numeric literals (radians).
+numeric literals in radians, in the angle grammar of circuit text.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import grid
 from .arch import ArchitectureSpec
 from .errors import RsqasmSyntaxError, TooManyQubits, UnsupportedConstruct
-from .rsqasm import NATIVE_GATES, Gate, Program, Stage
+from .rsqasm import ANGLE_LITERAL, NATIVE_GATES, Gate, Program, Stage
 
 ONE_PER_STAGE = "one-per-stage"
 GREEDY = "greedy"
@@ -32,7 +32,6 @@ _UNSUPPORTED_KEYWORDS = ("creg", "measure", "reset", "if", "gate", "opaque")
 _QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
 _OPERAND_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?$", re.ASCII)
 _GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(([^)]*)\))?\s+(.+)$", re.ASCII)
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,19 @@ class FlatBarrier:
 
 @dataclass(frozen=True)
 class FlatCircuit:
-    """Flat gate list over logical qubits; barriers kept but semantically inert."""
+    """Flat gate list over qubits ``range(qubit_count)``; barriers kept but inert."""
 
     qubit_count: int
     ops: tuple[FlatGate | FlatBarrier, ...]
+
+    def __post_init__(self):
+        indices = [q for op in self.ops for q in op.qubits]
+        if indices and min(indices) < 0:
+            raise RsqasmSyntaxError(f"negative qubit index {min(indices)}")
+        if indices and max(indices) >= self.qubit_count:
+            raise RsqasmSyntaxError(
+                f"qubit index {max(indices)} exceeds the declared register size {self.qubit_count}"
+            )
 
     @property
     def gates(self) -> tuple[FlatGate, ...]:
@@ -111,7 +119,6 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
     register: str | None = None
     declared: int | None = None
     ops: list[FlatGate | FlatBarrier] = []
-    max_index = -1
 
     for raw in _strip_comments(document).split(";"):
         stmt = " ".join(raw.split())
@@ -142,7 +149,6 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
             if rest:
                 register, indices, bare = _parse_operands(rest, register)
             ops.append(FlatBarrier(() if bare else tuple(indices)))
-            max_index = max([max_index, *indices])
             continue
 
         if keyword not in NATIVE_GATES:
@@ -155,7 +161,7 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
         if param_text is not None:
             pieces = [p.strip() for p in param_text.split(",")]
             for piece in pieces:
-                if not _NUMBER_RE.match(piece):
+                if not re.fullmatch(ANGLE_LITERAL, piece, re.ASCII):
                     raise UnsupportedConstruct(
                         f"non-numeric gate parameter {piece!r} (literals only)"
                     )
@@ -164,14 +170,10 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
         if bare:
             raise UnsupportedConstruct("gates on a whole register are not supported")
         ops.append(FlatGate(name, params, tuple(indices)))
-        max_index = max(max_index, *indices)
 
-    count = declared if declared is not None else max_index + 1
-    if max_index >= count:
-        raise RsqasmSyntaxError(
-            f"qubit index {max_index} exceeds the declared register size {count}"
-        )
-    return FlatCircuit(count, tuple(ops))
+    if declared is None:
+        declared = max((q for op in ops for q in op.qubits), default=-1) + 1
+    return FlatCircuit(declared, tuple(ops))
 
 
 def to_rsqasm(circuit: FlatCircuit, spec: ArchitectureSpec, packing: str = GREEDY) -> Program:

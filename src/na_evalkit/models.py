@@ -92,39 +92,32 @@ _PRESETS = {
 
 @contextmanager
 def _finite():
-    """Raise a power or quotient that leaves the float range on the way as
-    NonFiniteResult; each report checks its own fields when it is built."""
+    """Raise a power or quotient leaving the float range in a block, or in a function
+    decorated ``@_finite()``, as NonFiniteResult; each report checks its own fields."""
     try:
         yield
     except ArithmeticError as exc:  # ZeroDivisionError after an underflow, or OverflowError
         raise NonFiniteResult(f"the inputs leave the float range: {exc}") from exc
 
 
+@_finite()
 def _evaluate(
     trace: ProgramTrace, spec: ArchitectureSpec, model: Model, preset: _Preset | None = None
 ) -> FidelityBreakdown:
-    """``model``'s breakdown of ``trace``, under ``preset`` or the model's own row.
+    """``model``'s breakdown of ``trace`` from the run time, idle time,
+    decoherence factor and gate factor of ``preset`` or the model's own row.
 
     Raises NonFiniteResult when the hardware numbers take a reported field, or
     a power or quotient on the way, out of the finite floats.
     """
-    preset = preset or _PRESETS[model]
-    with _finite():
-        return _price(trace, spec, model, preset)
-
-
-def _price(
-    trace: ProgramTrace, spec: ArchitectureSpec, model: Model, preset: _Preset
-) -> FidelityBreakdown:
-    """``model``'s breakdown from a preset's run time, idle time, decoherence
-    factor and gate factor."""
-    travel, idle, coherence, cz_only, exposure = preset
+    travel, idle, coherence, cz_only, exposure = preset or _PRESETS[model]
     if travel is None:
         t_cz = gate_duration("cz", spec)
         s = 2 * trace.move_count
-        gate_stages = sum(1 for gate_us, _ in trace.stages if gate_us is not None)
+        gate_stages = 0
         d_um = 0.0  # a plain running sum, as in ProgramTrace.run_time_us
-        for _, cells in trace.stages:
+        for gate_us, cells in trace.stages:
+            gate_stages += gate_us is not None
             if cells is not None:
                 d_um += cells * spec.inter_qubit_distance
         t_total = gate_stages * t_cz + s * spec.aod_transfer_time + _linear_travel(d_um, spec)
@@ -235,6 +228,9 @@ class WhatIfInput:
             raise InvalidInput("qubit count must be >= 1")
         if self.old_t_idle_us < 0:
             raise InvalidInput("idle time must be >= 0")
+        # read a zero as +0.0, so no result can carry the sign of a -0.0
+        object.__setattr__(self, "old_t_idle_us", self.old_t_idle_us + 0.0)
+        object.__setattr__(self, "saved_distance_cells", self.saved_distance_cells + 0.0)
 
 
 @dataclass(frozen=True)
@@ -249,6 +245,7 @@ class WhatIfResult:
         require_finite(self)
 
 
+@_finite()
 def whatif_collapse(w: WhatIfInput, spec: ArchitectureSpec) -> WhatIfResult:
     """Recompute decoherence and movement fidelity after removing moves.
 
@@ -258,18 +255,15 @@ def whatif_collapse(w: WhatIfInput, spec: ArchitectureSpec) -> WhatIfResult:
     negative, and NonFiniteResult when the inputs take a field, or a product
     or quotient on the way, out of the finite floats.
     """
-    with _finite():
-        delta_t_move = _linear_travel(w.saved_distance_cells * spec.inter_qubit_distance, spec)
-        delta_t_idle = w.n * delta_t_move
-        t_idle_new = w.old_t_idle_us - delta_t_idle
-        if t_idle_new < 0:
-            raise InvalidInput(
-                f"collapsing would drive idle time negative ({t_idle_new} us)"
-            )
-        return WhatIfResult(
-            delta_t_move_us=delta_t_move,
-            delta_t_idle_us=delta_t_idle,
-            t_idle_new_us=t_idle_new,
-            f_decoherence=decoherence_fidelity(t_idle_new, effective_coherence_time(spec)),
-            f_movements=movement_fidelity(w.new_move_count, spec.transfer_fidelity),
-        )
+    delta_t_move = _linear_travel(w.saved_distance_cells * spec.inter_qubit_distance, spec)
+    delta_t_idle = w.n * delta_t_move
+    t_idle_new = w.old_t_idle_us - delta_t_idle
+    if t_idle_new < 0:
+        raise InvalidInput(f"collapsing would drive idle time negative ({t_idle_new} us)")
+    return WhatIfResult(
+        delta_t_move_us=delta_t_move,
+        delta_t_idle_us=delta_t_idle,
+        t_idle_new_us=t_idle_new,
+        f_decoherence=decoherence_fidelity(t_idle_new, effective_coherence_time(spec)),
+        f_movements=movement_fidelity(w.new_move_count, spec.transfer_fidelity),
+    )

@@ -53,7 +53,6 @@ from heapq import heappop, heappush
 
 from . import grid
 from .arch import ArchitectureSpec
-from .errors import IllegalInput, IllegalStage
 from .evaluator import require_finite
 from .rsqasm import Instruction, Move, Program, Stage
 
@@ -222,14 +221,11 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
     """Apply R1/R2 to a fixed point; returns the collapsed program and a report.
 
     The input must be legal under grid simulation from the spec's initial
-    placement (IllegalInput otherwise). The result is legal and reaches the
-    same final atom-to-cell mapping as the input. Raises NonFiniteResult when
-    the input's moves travel farther in total than the largest float.
+    placement (the simulation's IllegalStage otherwise). The result is legal
+    and reaches the same final atom-to-cell mapping as the input. Raises
+    NonFiniteResult when its moves travel farther in total than the largest float.
     """
-    try:
-        grid.simulate(grid.initial_state(spec), program)
-    except IllegalStage as exc:
-        raise IllegalInput(f"program is not executable: {exc}") from exc
+    grid.simulate(grid.initial_state(spec), program)
     side = spec.grid_side
 
     work = [list(stage) for stage in program.stages]
@@ -239,14 +235,13 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
     collapsed = rewrite.program(program) if rewrite.events else program
 
     moves_after, distance_after = _move_stats(work, side)
-    # guard against 1-ulp overshoot when a collinear R2 merge is exact
-    distance_after = min(distance_after, distance_before)
     report = NormalizationReport(
         moves_before=moves_before,
         moves_after=moves_after,
         distance_before_cells=distance_before,
         distance_after_cells=distance_after,
-        saved_distance_cells=distance_before - distance_after,
+        # guard against 1-ulp overshoot when a collinear R2 merge is exact
+        saved_distance_cells=max(distance_before - distance_after, 0.0),
         rewrites_applied=tuple(rewrite.events),
     )
     return collapsed, report

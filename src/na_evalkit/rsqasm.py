@@ -168,10 +168,11 @@ _HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;[ \t]*$", re.ASCII)
 # matches anywhere but at the end of the line: the first required part that is
 # empty names the diagnostic, and its position the column.
 _OPERAND = r"q[ \t]*\[[ \t]*\d+[ \t]*\]"
+ANGLE_LITERAL = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"  # match with re.ASCII
 _INSTRUCTION_RE = re.compile(
     rf"""(?!\Z)[ \t]*(?P<name>[A-Za-z_]\w*|)[ \t]*
     (?:(?P<open>\()[ \t]*
-        (?P<angle>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|)[ \t]*
+        (?P<angle>{ANGLE_LITERAL}|)[ \t]*
         (?P<close>\)|)[ \t]*)?
     (?P<operands>q[ \t]*\[[ \t]*(?P<a>\d+)[ \t]*\]
         (?:[ \t]*,[ \t]*q[ \t]*\[[ \t]*(?P<b>\d+)[ \t]*\]

@@ -6,9 +6,11 @@ program from stage 0, and it checks each candidate by building the rewritten
 :class:`Program` and simulating it from the initial placement. The fast pass
 must commit the same rewrites in the same order and emit the same program.
 
-Only its move distances changed since: like the report's, they add each
-stage's moves first and then the stage sums in order, as
-:func:`na_evalkit.evaluator.trace_program` does.
+Only its report changed since: like the fast pass's, its move distances add
+each stage's moves first and then the stage sums in order, as
+:func:`na_evalkit.evaluator.trace_program` does; the distance after is that
+sum unclamped, only the saved distance is floored at 0; and an illegal input
+raises the simulation's IllegalStage as it is.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import logging
 
 from na_evalkit import grid
 from na_evalkit.arch import ArchitectureSpec
-from na_evalkit.errors import IllegalInput, IllegalStage, RsqasmError
+from na_evalkit.errors import IllegalStage, RsqasmError
 from na_evalkit.normalize import NormalizationReport, RewriteEvent
 from na_evalkit.rsqasm import Instruction, Move, Program, Stage
 
@@ -101,13 +103,10 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
     """Apply R1/R2 to a fixed point; returns the collapsed program and a report.
 
     The input must be legal under grid simulation from the spec's initial
-    placement (IllegalInput otherwise). The result is legal and reaches the
+    placement (IllegalStage otherwise). The result is legal and reaches the
     same final atom-to-cell mapping as the input.
     """
-    try:
-        final = grid.simulate(grid.initial_state(spec), program)
-    except IllegalStage as exc:
-        raise IllegalInput(f"program is not executable: {exc}") from exc
+    final = grid.simulate(grid.initial_state(spec), program)
     expected_final = final.atom_cells()
     version = (program.version_major, program.version_minor)
     side = spec.grid_side
@@ -148,14 +147,13 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
                 break
 
     moves_after, distance_after = _move_stats(work, side)
-    # guard against 1-ulp overshoot when a collinear R2 merge is exact
-    distance_after = min(distance_after, distance_before)
     report = NormalizationReport(
         moves_before=moves_before,
         moves_after=moves_after,
         distance_before_cells=distance_before,
         distance_after_cells=distance_after,
-        saved_distance_cells=distance_before - distance_after,
+        # guard against 1-ulp overshoot when a collinear R2 merge is exact
+        saved_distance_cells=max(distance_before - distance_after, 0.0),
         rewrites_applied=tuple(events),
     )
     return collapsed, report

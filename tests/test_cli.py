@@ -326,6 +326,19 @@ def test_whatif_guard_exit_two(files, capsys):
     assert "InvalidInput" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("idle, saved", [("-0.0", "0"), ("5", "-0.0"), ("-0", "-0")])
+def test_whatif_prints_no_negative_zero(files, capsys, idle, saved):
+    argv = ["whatif", files["arch"], "--old-idle", idle, "--saved-distance", saved,
+            "--moves-before", "1", "--moves-after", "1", "--n", "3"]
+    assert main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in ("delta_t_move_us", "delta_t_idle_us", "t_idle_new_us"):
+        assert math.copysign(1.0, report[key]) == 1.0
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert "-0" not in row.split()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--old-idle", "nan"), ("--old-idle", "inf"),
     ("--saved-distance", "nan"), ("--saved-distance", "inf"),

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from na_evalkit import (
     FlatBarrier,
+    FlatCircuit,
     FlatGate,
     evaluate_unified,
     initial_state,
@@ -16,6 +18,7 @@ from na_evalkit.errors import (
     ArityError,
     EvalKitError,
     ParamError,
+    RsqasmError,
     RsqasmSyntaxError,
     TooManyQubits,
     UnsupportedConstruct,
@@ -98,6 +101,23 @@ def test_index_beyond_register_rejected():
         parse_flat_qasm("qreg q[2]; h q[5];")
 
 
+@pytest.mark.parametrize("document, index, size", [
+    ("qreg q[2]; h q[5];", 5, 2),
+    ("qreg q[2]; barrier q[1], q[3]; cz q[2], q[0];", 3, 2),
+])
+def test_index_beyond_register_names_the_highest_index(document, index, size):
+    message = f"^qubit index {index} exceeds the declared register size {size}$"
+    with pytest.raises(RsqasmSyntaxError, match=message):
+        parse_flat_qasm(document)
+
+
+@pytest.mark.parametrize("document, count", [
+    ("h q[4];", 5), ("barrier q[6]; h q[1];", 7), ("barrier;", 0), ("qreg q[9]; h q[1];", 9),
+])
+def test_without_a_qreg_the_highest_index_gives_the_count(document, count):
+    assert parse_flat_qasm(document).qubit_count == count
+
+
 def test_gate_on_whole_register_rejected():
     with pytest.raises(UnsupportedConstruct):
         parse_flat_qasm("qreg q[2]; h q;")
@@ -141,6 +161,62 @@ def test_a_flat_gate_checks_its_shape_when_built():
         FlatGate("rz", (), (0,))
     with pytest.raises(RsqasmSyntaxError, match="^cz operands must be distinct qubits$"):
         FlatGate("cz", (), (1, 1))
+
+
+@pytest.mark.parametrize("literal, accepted", [
+    ("1.", True), (".5", True), ("-2e-3", True), ("+0", True),
+    ("1_0", False), ("inf", False), ("0x1", False), ("pi", False), ("\u0661", False),
+])
+def test_flat_and_circuit_text_read_the_same_angle_literals(literal, accepted):
+    staged, flat = f"RSQASM 1.0;\nrz({literal}) q[0];\n", f"rz({literal}) q[0];"
+    if accepted:
+        parse_program(staged)
+        parse_flat_qasm(flat)
+        return
+    # each format keeps its own error class for a literal it rejects
+    with pytest.raises(RsqasmError):
+        parse_program(staged)
+    with pytest.raises(UnsupportedConstruct):
+        parse_flat_qasm(flat)
+
+
+@pytest.mark.parametrize("count, make_op, message", [
+    (1, lambda: FlatGate("h", (), (5,)), "qubit index 5 exceeds the declared register size 1"),
+    (1, lambda: FlatGate("h", (), (2,)), "qubit index 2 exceeds the declared register size 1"),
+    (2, lambda: FlatBarrier((0, 2)), "qubit index 2 exceeds the declared register size 2"),
+    (0, lambda: FlatBarrier((0,)), "qubit index 0 exceeds the declared register size 0"),
+    (3, lambda: FlatGate("h", (), (-1,)), "negative cell index in h"),
+    (3, lambda: FlatBarrier((-1,)), "negative qubit index -1"),
+    (3, lambda: FlatBarrier((1, -2)), "negative qubit index -2"),
+])
+def test_a_flat_circuit_bounds_its_qubits_when_built(count, make_op, message):
+    with pytest.raises(RsqasmSyntaxError, match=f"^{message}$"):
+        FlatCircuit(count, (FlatGate("h", (), (0,)), make_op()))
+
+
+_THREE_ATOMS = make_spec(n_qubits=3)
+_INDICES = st.integers(-2, 6)
+_FLAT_OPS = st.one_of(
+    st.builds(lambda q: ("h", (q,)), _INDICES),
+    st.builds(lambda a, b: ("cz", (a, b)), _INDICES, _INDICES),
+    st.builds(lambda qs: ("barrier", tuple(qs)), st.lists(_INDICES, max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 5), st.lists(_FLAT_OPS, max_size=6))
+def test_every_flat_circuit_that_can_be_built_stages_without_an_index_error(count, raw_ops):
+    try:
+        circuit = FlatCircuit(count, tuple(
+            FlatBarrier(qubits) if name == "barrier" else FlatGate(name, (), qubits)
+            for name, qubits in raw_ops
+        ))
+    except EvalKitError:
+        return
+    try:
+        to_rsqasm(circuit, _THREE_ATOMS)
+    except TooManyQubits:
+        assert count > 3
 
 
 @pytest.mark.parametrize("header", ["", "qreg q[2]; "])

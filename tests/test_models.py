@@ -234,6 +234,15 @@ def test_whatif_noop_reproduces_inputs(table1_spec):
     assert result.f_movements == pytest.approx(0.9999 ** (2 * 1828))
 
 
+@pytest.mark.parametrize("idle, saved", [(-0.0, 0.0), (5.0, -0.0), (-0.0, -0.0)])
+def test_whatif_reads_a_negative_zero_as_zero(table1_spec, idle, saved):
+    w = WhatIfInput(idle, saved, 1, 1, 3)
+    assert math.copysign(1.0, w.old_t_idle_us) == math.copysign(1.0, w.saved_distance_cells) == 1.0
+    result = whatif_collapse(w, table1_spec)
+    for value in (result.delta_t_move_us, result.delta_t_idle_us, result.t_idle_new_us):
+        assert math.copysign(1.0, value) == 1.0
+
+
 def test_whatif_rejects_negative_idle(table1_spec):
     with pytest.raises(InvalidInput):
         whatif_collapse(WhatIfInput(10.0, 1.0e6, 10, 5, 30), table1_spec)

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -19,8 +20,9 @@ from na_evalkit import (
     serialize_program,
     simulate,
 )
-from na_evalkit.errors import IllegalInput
-from helpers import make_spec, random_legal_program, random_program_with_redundancy
+from na_evalkit.cli import main
+from na_evalkit.errors import IllegalStage
+from helpers import arch_document, make_spec, random_legal_program, random_program_with_redundancy
 
 REVERSAL_TEXT = (
     "RSQASM 1.0;\n"
@@ -129,9 +131,24 @@ def test_rewrite_skipped_when_stage_would_conflict(caplog):
 
 
 def test_illegal_input_rejected(table1_spec):
-    program = parse_program("RSQASM 1.0;\nmove q[40], q[41];\n")
-    with pytest.raises(IllegalInput):
+    program = parse_program("RSQASM 1.0;\nh q[0];\nmove q[0], q[1];\n")
+    with pytest.raises(IllegalStage) as raised:  # the simulation's own error
         collapse(program, table1_spec)
+    assert raised.value.stage_index == 1
+    assert raised.value.diagnosis is not None
+
+
+def test_normalize_reports_an_illegal_input_as_evaluate_does(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NA_EVALKIT_COLOR", "never")
+    circuit = tmp_path / "bad.rsqasm"
+    circuit.write_text("RSQASM 1.0;\nh q[0];\nmove q[0], q[1];\n")
+    arch = str(Path(__file__).parent / "golden" / "table1" / "arch.json")
+    errors = []
+    for command in ("validate", "evaluate", "normalize"):
+        assert main([command, str(circuit), arch]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error[IllegalStage]: stage 1: ")
+    assert errors[2] == errors[1] == errors[0]
 
 
 def test_collapse_is_idempotent_on_seeded_programs():
@@ -273,11 +290,44 @@ def _assert_move_figures_equal_evaluate(program, spec):
     assert report.moves_before == before.move_count
     assert report.distance_before_cells == before.total_move_distance_cells
     assert report.moves_after == after.move_count
-    # the clamp against a 1-ulp overshoot of an exact collinear merge stays
-    assert report.distance_after_cells == min(
-        after.total_move_distance_cells, report.distance_before_cells
+    assert report.distance_after_cells == after.total_move_distance_cells
+    # only the saved distance is floored against a 1-ulp overshoot of an
+    # exact collinear merge
+    assert report.saved_distance_cells == max(
+        before.total_move_distance_cells - after.total_move_distance_cells, 0.0
     )
     return len(report.rewrites_applied)
+
+
+# one atom on cell 0 of a 20x20 grid takes two diagonal legs that R2 merges;
+# the two legs sum one ulp below the merged move's length
+COLLINEAR_SIDE, COLLINEAR_CELLS = 20, [0]
+COLLINEAR_TEXT = "RSQASM 1.0;\nmove q[0], q[21];\nmove q[21], q[84];\n"
+
+
+def test_collinear_merge_reports_evaluates_distance():
+    spec = make_spec(side=COLLINEAR_SIDE, cells=COLLINEAR_CELLS)
+    collapsed, report = collapse(parse_program(COLLINEAR_TEXT), spec)
+    assert serialize_program(collapsed) == "RSQASM 1.0;\nmove q[0], q[84];\n"
+    after = evaluate_unified(collapsed, spec)
+    assert report.distance_after_cells > report.distance_before_cells  # the overshoot
+    assert report.distance_after_cells == after.total_move_distance_cells
+    assert report.saved_distance_cells == 0.0
+    _assert_move_figures_equal_evaluate(parse_program(COLLINEAR_TEXT), spec)
+
+
+def test_collinear_merge_through_the_cli(tmp_path, capsys):
+    arch = tmp_path / "arch.json"
+    arch.write_text(arch_document(side=COLLINEAR_SIDE, cells=COLLINEAR_CELLS))
+    circuit, emitted = tmp_path / "in.rsqasm", tmp_path / "out.rsqasm"
+    circuit.write_text(COLLINEAR_TEXT)
+    argv = [str(circuit), str(arch), "--format", "json"]
+    assert main(["normalize", *argv, "--emit", str(emitted)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["evaluate", str(emitted), str(arch), "--format", "json"]) == 0
+    evaluated = json.loads(capsys.readouterr().out)
+    assert report["distance_after_cells"] == evaluated["total_move_distance_cells"]
+    assert report["saved_distance_cells"] == 0.0
 
 
 @pytest.mark.parametrize("case", ["dense", "table1"])
