@@ -227,16 +227,18 @@ _LAYOUT = {
 def parse_architecture(document: str | bytes) -> ArchitectureSpec:
     """Parse and fully validate a hardware description document.
 
-    Raises :class:`MalformedDocument` for non-JSON input,
-    :class:`SchemaMismatch` for unknown schema versions, and
-    :class:`MissingField`/:class:`InvalidValue` naming the offending path
-    for structural problems. Parsing is deterministic.
+    Raises :class:`MalformedDocument` for input that is not JSON or, given as
+    bytes, not strict UTF-8 (a BOM or UTF-16 too), :class:`SchemaMismatch` for
+    unknown schema versions, and :class:`MissingField`/:class:`InvalidValue`
+    naming the offending path for structural problems. Parsing is deterministic.
     """
     try:
-        root = json.loads(document)
+        root = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"document is not valid UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:
-        # ValueError covers bad JSON, bad encodings and integer literals
-        # beyond Python's digit limit; RecursionError, nesting too deep
+        # ValueError covers bad JSON (a BOM too) and integer literals beyond
+        # Python's digit limit; RecursionError, nesting too deep
         raise MalformedDocument(f"not valid JSON: {exc}") from None
     reading = _Reading()
     try:

@@ -22,7 +22,7 @@ import warnings
 
 from . import __version__, grid, normalize
 from .arch import ArchitectureSpec, parse_architecture
-from .errors import EvalKitError, IllegalStage, InvalidInput, MalformedDocument, RsqasmSyntaxError
+from .errors import EvalKitError, IllegalStage, InvalidInput
 from .evaluator import FidelityBreakdown
 from .models import Model, WhatIfInput, WhatIfResult, evaluate_model, whatif_collapse
 from .rsqasm import Program, parse_program, serialize_program
@@ -106,30 +106,23 @@ def _emit(report: dict, columns: list[tuple[str, str]], rows: list[dict], fmt: s
         sys.stdout.write(_render_table(columns, rows))
 
 
-def _read(path: str, malformed: type[EvalKitError]) -> str:
-    """A file's text; bytes that are not UTF-8 raise the domain error ``malformed``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise malformed(f"{path} is not valid UTF-8: {exc}") from None
+def _load_program(path: str) -> Program:
+    """Parse a circuit file; its bytes reach the parser unchanged."""
+    with open(path, "rb") as fh:
+        return parse_program(fh.read())
 
 
 def _load_arch(path: str) -> ArchitectureSpec:
-    """Parse a hardware file, printing its unknown-key warnings to stderr as
-    ``warning: ...`` lines, also when the parse fails. They come object by
-    object, not in text order: an object's own before its nested objects'."""
-    with warnings.catch_warnings(record=True) as caught:
+    """Parse a hardware file's unchanged bytes, printing its unknown-key warnings
+    to stderr as ``warning: ...`` lines, also when the parse fails. They come
+    object by object, not in text order: an object's own before its nested objects'."""
+    with open(path, "rb") as fh, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return parse_architecture(_read(path, MalformedDocument))
+            return parse_architecture(fh.read())
         finally:
             for warning in caught:
                 print(f"warning: {warning.message}", file=sys.stderr)
-
-
-def _load(circuit_path: str, arch_path: str) -> tuple[Program, ArchitectureSpec]:
-    return parse_program(_read(circuit_path, RsqasmSyntaxError)), _load_arch(arch_path)
 
 
 def _fields(obj, columns: list[tuple[str, str]]) -> dict:
@@ -140,7 +133,7 @@ def cmd_validate(args) -> int:
     radius = args.interaction_radius
     if radius is not None and not radius >= 0:  # NaN would silence every warning
         raise InvalidInput(f"interaction radius must be >= 0, got {radius}")
-    program, spec = _load(args.circuit, args.arch)
+    program, spec = _load_program(args.circuit), _load_arch(args.arch)
     occupancy = grid.initial_state(spec).occupancy
     failures = 0
     for index, stage in enumerate(program.stages):
@@ -160,7 +153,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    program, spec = _load(args.circuit, args.arch)
+    program, spec = _load_program(args.circuit), _load_arch(args.arch)
     breakdown = evaluate_model(program, spec, args.model)
     row = _fields(breakdown, _EVALUATE_COLUMNS)
     # "model" keeps its place ahead of the paths when ``row`` fills in the rest
@@ -170,11 +163,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    program, spec = _load(args.circuit, args.arch)
+    program, spec = _load_program(args.circuit), _load_arch(args.arch)
     collapsed, rep = normalize.collapse(program, spec)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(serialize_program(collapsed))
+        with open(args.emit, "wb") as fh:  # canonical LF text on every platform
+            fh.write(serialize_program(collapsed).encode("utf-8"))
     fields = _fields(rep, _NORMALIZE_COLUMNS)
     row = {**fields, "rewrites": len(rep.rewrites_applied)}
     report = {
@@ -195,7 +188,7 @@ def cmd_compare(args) -> int:
     failed = False
     for path in args.circuits:
         try:
-            program = parse_program(_read(path, RsqasmSyntaxError))
+            program = _load_program(path)
             breakdown = evaluate_model(program, spec, args.model)
             rows.append({"circuit": path, **_fields(breakdown, _METRIC_COLUMNS), "error": None})
         except EvalKitError as exc:

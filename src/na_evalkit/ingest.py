@@ -61,6 +61,8 @@ class FlatCircuit:
     ops: tuple[FlatGate | FlatBarrier, ...]
 
     def __post_init__(self):
+        if self.qubit_count < 0:
+            raise RsqasmSyntaxError(f"negative register size {self.qubit_count}")
         indices = [q for op in self.ops for q in op.qubits]
         if indices and min(indices) < 0:
             raise RsqasmSyntaxError(f"negative qubit index {min(indices)}")

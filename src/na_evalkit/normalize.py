@@ -232,9 +232,10 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
     moves_before, distance_before = _move_stats(work, side)
     rewrite = _Pass(work)
     rewrite.run()
-    collapsed = rewrite.program(program) if rewrite.events else program
-
-    moves_after, distance_after = _move_stats(work, side)
+    collapsed, moves_after, distance_after = program, moves_before, distance_before
+    if rewrite.events:  # only a committed rewrite changes the program and its figures
+        collapsed = rewrite.program(program)
+        moves_after, distance_after = _move_stats(work, side)
     report = NormalizationReport(
         moves_before=moves_before,
         moves_after=moves_after,

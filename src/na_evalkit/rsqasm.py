@@ -252,10 +252,10 @@ def _parse_stage_line(text: str, line: int) -> Stage:
 def parse_program(document: str | bytes) -> Program:
     """Parse circuit text into a :class:`Program`.
 
-    Accepts LF or CRLF line endings. Raises a subclass of
-    :class:`~na_evalkit.errors.RsqasmError` with line/column information on
-    any malformed input; arbitrary bytes never escape as a non-diagnostic
-    exception.
+    Lines split at LF, dropping the CRs at their end; any other CR is no line
+    break. Bytes must be strict UTF-8. Malformed input raises a subclass of
+    :class:`~na_evalkit.errors.RsqasmError` with line/column information;
+    arbitrary bytes never escape as a non-diagnostic exception.
     """
     if isinstance(document, bytes):
         try:

@@ -194,6 +194,12 @@ def test_a_flat_circuit_bounds_its_qubits_when_built(count, make_op, message):
         FlatCircuit(count, (FlatGate("h", (), (0,)), make_op()))
 
 
+@pytest.mark.parametrize("ops", [(), (FlatBarrier(()),)])
+def test_a_flat_circuit_refuses_a_negative_register_size(ops):
+    with pytest.raises(RsqasmSyntaxError, match="^negative register size -1$"):
+        FlatCircuit(-1, ops)
+
+
 _THREE_ATOMS = make_spec(n_qubits=3)
 _INDICES = st.integers(-2, 6)
 _FLAT_OPS = st.one_of(

@@ -20,6 +20,7 @@ from na_evalkit import (
     serialize_program,
     simulate,
 )
+from na_evalkit import normalize
 from na_evalkit.cli import main
 from na_evalkit.errors import IllegalStage
 from helpers import arch_document, make_spec, random_legal_program, random_program_with_redundancy
@@ -98,6 +99,18 @@ def test_irredundant_program_unchanged(table1_spec):
     assert report.moves_before == report.moves_after == 1
     assert report.saved_distance_cells == 0.0
     assert report.rewrites_applied == ()
+
+
+@pytest.mark.parametrize("text, passes", [
+    ("RSQASM 1.0;\nh q[0];\nmove q[1], q[51];\ncz q[0], q[51];\n", 1),
+    ("RSQASM 1.0;\nmove q[0], q[50];\nmove q[50], q[0];\n", 2),
+])
+def test_move_figures_are_recounted_only_after_a_rewrite(table1_spec, monkeypatch, text, passes):
+    counted = []
+    move_stats = normalize._move_stats
+    monkeypatch.setattr(normalize, "_move_stats", lambda *a: counted.append(a) or move_stats(*a))
+    collapse(parse_program(text), table1_spec)
+    assert len(counted) == passes
 
 
 def test_gate_in_the_gap_blocks_reversal(table1_spec):
