@@ -224,16 +224,18 @@ _LAYOUT = {
 }
 
 
-def parse_architecture(document: str | bytes) -> ArchitectureSpec:
+def parse_architecture(document: str | bytes | bytearray | memoryview) -> ArchitectureSpec:
     """Parse and fully validate a hardware description document.
 
     Raises :class:`MalformedDocument` for input that is not JSON or, given as
-    bytes, not strict UTF-8 (a BOM or UTF-16 too), :class:`SchemaMismatch` for
-    unknown schema versions, and :class:`MissingField`/:class:`InvalidValue`
+    bytes-like, not strict UTF-8 (a BOM or UTF-16 too), :class:`SchemaMismatch`
+    for unknown schema versions, and :class:`MissingField`/:class:`InvalidValue`
     naming the offending path for structural problems. Parsing is deterministic.
     """
     try:
-        root = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
+        if isinstance(document, (bytes, bytearray, memoryview)):
+            document = str(document, "utf-8")
+        root = json.loads(document)
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"document is not valid UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:

@@ -17,31 +17,37 @@ pass terminates. Stages emptied by deletion are dropped. Unlike a mere
 statistics pass, the collapsed program is emitted as executable text again.
 
 The input is simulated once, to check that it is legal. No rewrite is
-simulated, because of two facts:
+simulated, because of three facts about the search for the partner of
+``move a->b`` at stage i, which stops at the first later stage j that
+touches a or b:
 
-* **Local check.** The partner is found in the first later stage j that
-  touches a or b, so stages i+1..j-1 never see the atom that now lingers
+* **Local check.** Stages i+1..j-1 never see the atom that now lingers
   at a instead of b, and after stage j cells a, b and c hold what they
   held before: the final mapping cannot change and only stage j can become
   illegal. R1 removes the only use of a in stage j and is always legal.
   R2 is illegal exactly when another instruction of stage j touches a (in
   a legal program, a move into the vacated cell a), since ``move a->c``
-  would then share a cell within the stage. The check reads only cells
-  {a, b, c} in stages i..j.
-* **Resume, don't restart.** A commit changes references to cells
-  {a, b, c} only, so a move that failed earlier can succeed afterwards only
-  if it touches one of them. Each move the program-order scan reaches
-  seeds one worklist of positions, drained in program order before the
-  scan goes on: first the move itself, then every earlier move on the
-  cells of each commit the worklist makes.
+  would then share a cell within the stage.
+* **A failed search waits on its stop stage.** It read stages i+1..j only.
+  A commit edits exactly its own two stages, and no stage before j can come
+  to touch a or b, so the search can only end otherwise once stage j is
+  edited. A search stopped by another move (a move into a, or a partner
+  with a clash) waits in a list keyed by stage j; each commit re-queues the
+  lists of its two stages, and the merged move of R2 if the scan has passed
+  it. Each move the program-order scan reaches seeds one worklist of
+  positions, drained in program order before the scan goes on.
+* **A gate is final.** A gate of stage j on a or b is on b, since a is
+  empty there. Commits never move or remove gates, and no partner can share
+  a stage with it, so that move, like one whose cells no later stage
+  touches, is never searched again.
 
-Each move is thus searched for a partner once, plus once more per commit
-that touches its cells, and each search stops at the first later stage that
-touches the move's cells: near-linear in program size, instead of one
-simulation of the whole program per candidate. Emptied stages stay in
-place as tombstones until the result is built, so instruction positions
-never shift; event stage numbers are converted to positions at application
-time (empty stages dropped) when each event is recorded.
+Each move is thus searched once, plus once per edit of the stage it waits
+on, instead of one simulation of the whole program per candidate. A search
+for a move whose cells are never referenced again still runs to the end of
+the program, so the pass is quadratic on programs with many such moves.
+Emptied stages stay in place as tombstones until the result is built, so
+positions never shift; each event's stages are converted to positions with
+the empty stages dropped when it is recorded.
 """
 
 from __future__ import annotations
@@ -104,25 +110,31 @@ class _Removed:
 _REMOVED = _Removed()
 
 
-def _find_partner(stages: list[list[Instruction]], i: int, a: int, b: int):
-    """First later move out of cell b with no reference to a or b in the gap.
+def _rule(move: Move, partner: Move) -> str:
+    return "R1" if partner.dst == move.src else "R2"
 
-    Returns (stage index, op index, clash) or None, where ``clash`` says that
-    another instruction of the partner's stage touches a or b; such a stage
-    still yields the partner, and the caller skips the rewrite.
+
+def _find_partner(stages: list[list[Instruction]], i: int, a: int, b: int):
+    """Where the search for the partner of ``move a->b`` at stage i stops.
+
+    Returns (j, partner, clash) for the first later stage j that touches a or
+    b: ``partner`` is the index of its move out of b, or None, and ``clash``
+    says that another of its instructions touches a or b. Returns None when
+    the move can never be folded: no later stage touches a or b, or stage j
+    holds a gate, which can only be on b.
     """
     for j in range(i + 1, len(stages)):
         partner = None
-        blocked = False
+        clash = False
         for oj, op in enumerate(stages[j]):
             if isinstance(op, Move) and op.src == b:
                 partner = oj
             elif a in op.cells or b in op.cells:
-                blocked = True
-        if partner is not None:
-            return j, partner, blocked
-        if blocked:
-            return None
+                if not isinstance(op, Move):
+                    return None
+                clash = True
+        if partner is not None or clash:
+            return j, partner, clash
     return None
 
 
@@ -134,20 +146,18 @@ class _Pass:
         self.events: list[RewriteEvent] = []
         self.dropped: list[int] = []  # sorted indices of emptied stages
         self.edited: set[int] = set()
-        # cell -> sorted (stage, op) positions of moves touching it; built at
-        # the first commit, so a program without rewrites never pays for it
-        self.moves_at: dict[int, list[tuple[int, int]]] | None = None
 
     def run(self):
         work = self.work
         pending: list[tuple[int, int]] = []  # min-heap of move positions to check
         queued: set[tuple[int, int]] = set()
+        waiting: dict[int, list[tuple[int, int]]] = {}  # stage -> moves whose search stopped there
         for i, ops in enumerate(work):
             for oi, op in enumerate(ops):
                 if not isinstance(op, Move):
                     continue
                 # check this move, then, in program order, the earlier moves
-                # on every cell a commit touches
+                # whose search stopped at a stage a commit edits
                 limit = (i, oi)
                 pending.append(limit)
                 while pending:
@@ -156,53 +166,43 @@ class _Pass:
                     move = work[s][o]
                     if not isinstance(move, Move):  # removed by a commit since it was queued
                         continue
-                    found = _find_partner(work, s, move.src, move.dst)
-                    if found is None:
+                    stop = _find_partner(work, s, move.src, move.dst)
+                    if stop is None:
                         continue
-                    for cell in self._commit(s, o, move, *found) or ():
-                        for pos in self.moves_at.get(cell, ()):
-                            if pos >= limit:
-                                break
-                            other = work[pos[0]][pos[1]]
-                            # skip index entries left stale by earlier commits
-                            if isinstance(other, Move) and cell in other.cells and pos not in queued:
-                                queued.add(pos)
-                                heappush(pending, pos)
+                    j, oj, clash = stop
+                    if oj is None or clash:
+                        if oj is not None:
+                            logger.info(
+                                "skipping %s on stages (%d, %d): rewrite would break legality",
+                                _rule(move, work[j][oj]), self._at(s), self._at(j),
+                            )
+                        waiting.setdefault(j, []).append((s, o))
+                        continue
+                    self._commit(s, o, move, j, oj)
+                    revived = waiting.pop(s, []) + waiting.pop(j, [])
+                    if isinstance(work[j][oj], Move) and (j, oj) < limit:
+                        revived.append((j, oj))  # the merged move of R2
+                    for pos in revived:
+                        if pos not in queued:
+                            queued.add(pos)
+                            heappush(pending, pos)
 
     def _at(self, k: int) -> int:
         """Position of stage k once the stages emptied so far are dropped."""
         return k - bisect_left(self.dropped, k)
 
-    def _commit(self, i, oi, move, j, oj, clash):
-        """Apply the rewrite of ``move`` with its partner; the touched cells, or None."""
+    def _commit(self, i, oi, move, j, oj):
+        """Apply the rewrite of ``move`` with its partner, ``work[j][oj]``."""
         work = self.work
         partner = work[j][oj]
-        rule = "R1" if partner.dst == move.src else "R2"
-        stages = (self._at(i), self._at(j))
-        if clash:
-            logger.info(
-                "skipping %s on stages (%d, %d): rewrite would break legality",
-                rule, *stages,
-            )
-            return None
-        self.events.append(RewriteEvent(rule, stages))
+        rule = _rule(move, partner)
+        self.events.append(RewriteEvent(rule, (self._at(i), self._at(j))))
         work[i][oi] = _REMOVED
         work[j][oj] = _REMOVED if rule == "R1" else Move(move.src, partner.dst)
         self.edited.update((i, j))
         for k in (i, j):
             if all(op is _REMOVED for op in work[k]):
                 insort(self.dropped, k)
-        if self.moves_at is None:
-            self.moves_at = {}
-            for s, ops in enumerate(work):
-                for o, op in enumerate(ops):
-                    if isinstance(op, Move):
-                        self.moves_at.setdefault(op.src, []).append((s, o))
-                        self.moves_at.setdefault(op.dst, []).append((s, o))
-        elif rule == "R2":
-            # the merged move now touches a; its entry under b goes stale
-            insort(self.moves_at.setdefault(move.src, []), (j, oj))
-        return move.src, move.dst, partner.dst
 
     def program(self, original: Program) -> Program:
         """The rewritten program; stages never edited are reused as they are."""

@@ -249,17 +249,17 @@ def _parse_stage_line(text: str, line: int) -> Stage:
         raise RsqasmSyntaxError("cell index has too many digits", line, column) from None
 
 
-def parse_program(document: str | bytes) -> Program:
+def parse_program(document: str | bytes | bytearray | memoryview) -> Program:
     """Parse circuit text into a :class:`Program`.
 
     Lines split at LF, dropping the CRs at their end; any other CR is no line
-    break. Bytes must be strict UTF-8. Malformed input raises a subclass of
-    :class:`~na_evalkit.errors.RsqasmError` with line/column information;
-    arbitrary bytes never escape as a non-diagnostic exception.
+    break. Bytes-like input must be strict UTF-8. Malformed input raises a
+    subclass of :class:`~na_evalkit.errors.RsqasmError` with line/column
+    information; arbitrary bytes never escape as a non-diagnostic exception.
     """
-    if isinstance(document, bytes):
+    if isinstance(document, (bytes, bytearray, memoryview)):
         try:
-            document = document.decode("utf-8")
+            document = str(document, "utf-8")
         except UnicodeDecodeError as exc:
             raise RsqasmSyntaxError(f"document is not valid UTF-8: {exc}") from None
 

@@ -76,6 +76,18 @@ def test_not_json():
         parse_architecture("not a { document")
 
 
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_bytes_like_documents_decode_as_bytes_do(kind):
+    text = arch_document()
+    assert parse_architecture(kind(text.encode("utf-8"))) == parse_architecture(text)
+    for data in (text.encode("utf-8-sig"), text.encode("utf-16"), b"\xff"):
+        with pytest.raises(MalformedDocument) as raised:
+            parse_architecture(kind(data))
+        with pytest.raises(MalformedDocument) as from_bytes:
+            parse_architecture(data)
+        assert str(raised.value) == str(from_bytes.value)
+
+
 def test_unknown_schema_version():
     def bump(doc):
         doc["schema"] = 99

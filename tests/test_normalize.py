@@ -1,5 +1,6 @@
 import json
 import random
+from heapq import heappush
 from pathlib import Path
 
 import pytest
@@ -184,9 +185,10 @@ def test_collapse_is_idempotent_on_seeded_programs():
 
 def test_revived_candidate_is_committed():
     # 7 -> 10 is blocked at first: 4 -> 7 moves into cell 7 in the next
-    # stage. Committing R2 (1, 3), 4 -> 7 -> 3, empties that stage and
-    # unblocks 7 -> 10 -> 9. Only a re-check of the earlier moves on the
-    # committed cells finds it; a forward-only scan stops after one rewrite.
+    # stage, so its search stops there and waits on stage 1. Committing R2
+    # (1, 3), 4 -> 7 -> 3, edits and empties stage 1, which re-queues
+    # 7 -> 10 and unblocks 7 -> 10 -> 9. Only a re-check of the moves waiting
+    # on an edited stage finds it; a forward-only scan stops after one rewrite.
     spec = make_spec(side=4, cells=[4, 7, 8, 11])
     program = parse_program(
         "RSQASM 1.0;\n"
@@ -285,17 +287,54 @@ def test_collapse_matches_reference_on_seeded_programs():
     assert rewrites > 1000 and revived > 0
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(normalize, name)
+    monkeypatch.setattr(normalize, name, lambda *a: calls.append(a) or original(*a))
+    return calls
 
-@pytest.mark.parametrize("seed", [603, 1294])
-def test_a_queued_move_removed_by_a_later_commit_is_skipped(seed):
+
+def test_each_move_is_searched_at_most_once_on_a_seeded_program(monkeypatch):
+    # 908 moves and 431 rewrites: a failed search is repeated only once the
+    # stage where it stopped is edited
+    spec = make_spec(side=20, cells=range(0, 400, 4))
+    program = random_program_with_redundancy(random.Random(7), spec, patterns=250)
+    searches = _count_calls(monkeypatch, "_find_partner")
+    _, report = collapse(program, spec)
+    assert len(report.rewrites_applied) > 400
+    assert len(searches) <= report.moves_before
+
+
+def _push_once(heap, pos):
+    assert pos not in heap, f"{pos} is pending twice"
+    heappush(heap, pos)
+
+
+@pytest.mark.parametrize("seed, skips", [
+    pytest.param(603, True, id="603"),
+    pytest.param(646, True, id="646"),
+    pytest.param(2269, True, id="2269"),
+    pytest.param(2680, True, id="2680"),
+    # a commit re-queues a move that is still pending, and no commit
+    # removes a queued one
+    pytest.param(1294, False, id="1294"),
+])
+def test_a_queued_move_removed_by_a_later_commit_is_skipped(monkeypatch, seed, skips):
     # on these seeds a commit removes a move that an earlier commit queued
-    # for a re-check, before the worklist reaches it
+    # for a re-check, before the worklist reaches it; no position is ever
+    # pending twice
     rng = random.Random(seed)
     side = rng.randint(2, 6)
     n = rng.randint(1, side * side - 1)
     spec = make_spec(side=side, cells=sorted(rng.sample(range(side * side), n)))
     program = random_program_with_redundancy(rng, spec, patterns=rng.randint(3, 30))
+    pops = _count_calls(monkeypatch, "heappop")
+    searches = _count_calls(monkeypatch, "_find_partner")
+    monkeypatch.setattr(normalize, "heappush", _push_once)
     assert _assert_matches_reference(program, spec)
+    if skips:  # a popped position that no longer holds a move is not searched
+        assert len(pops) > len(searches)
+
 
 def _assert_move_figures_equal_evaluate(program, spec):
     collapsed, report = collapse(program, spec)

@@ -160,6 +160,19 @@ def test_invalid_utf8_bytes_are_diagnosed():
         parse_program(b"RSQASM 1.0;\n\xff\xfe\n")
 
 
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_bytes_like_documents_decode_as_bytes_do(kind):
+    text = "RSQASM 1.0;\r\nh q[0];\r\nmove q[0], q[1];\n"
+    assert parse_program(kind(text.encode("utf-8"))) == parse_program(text)
+    for data in (b"RSQASM 1.0;\n\xff\xfe\n", text.encode("utf-8-sig")):
+        with pytest.raises(RsqasmError) as raised:
+            parse_program(kind(data))
+        with pytest.raises(RsqasmError) as from_bytes:
+            parse_program(data)
+        assert type(raised.value) is type(from_bytes.value)
+        assert str(raised.value) == str(from_bytes.value)
+
+
 def test_stage_count_matches_nonempty_lines():
     text = "RSQASM 1.0;\nh q[0];\n\ncz q[1], q[2];\n// comment\nmove q[3], q[4];\n"
     program = parse_program(text)
