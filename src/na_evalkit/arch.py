@@ -25,7 +25,8 @@ The on-disk format is a single JSON document::
 Times are microseconds, lengths micrometers, speeds micrometers per
 microsecond. Qubit coordinates are screen-space (x column, y row, origin at
 the top-left corner). Every number must be finite; ``NaN`` and ``Infinity``
-are rejected. ``excitementFidelity`` is optional and defaults to 1.0.
+are rejected, and so is a key repeated within one object.
+``excitementFidelity`` is optional and defaults to 1.0.
 Unknown keys, non-native gate names too, only warn so newer documents stay readable.
 Keys are read in the order shown, each fully checked before the next.
 """
@@ -224,18 +225,30 @@ _LAYOUT = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; raises MalformedDocument for a
+    repeated key, which json.loads would resolve to its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedDocument(f"key {key!r} is repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def parse_architecture(document: str | bytes | bytearray | memoryview) -> ArchitectureSpec:
     """Parse and fully validate a hardware description document.
 
-    Raises :class:`MalformedDocument` for input that is not JSON or, given as
-    bytes-like, not strict UTF-8 (a BOM or UTF-16 too), :class:`SchemaMismatch`
-    for unknown schema versions, and :class:`MissingField`/:class:`InvalidValue`
-    naming the offending path for structural problems. Parsing is deterministic.
+    Raises :class:`MalformedDocument` for input that is not JSON, that repeats
+    a key within one object or, given as bytes-like, that is not strict UTF-8
+    (a BOM or UTF-16 too), :class:`SchemaMismatch` for unknown schema versions,
+    and :class:`MissingField`/:class:`InvalidValue` naming the offending path
+    for structural problems. Parsing is deterministic.
     """
     try:
         if isinstance(document, (bytes, bytearray, memoryview)):
             document = str(document, "utf-8")
-        root = json.loads(document)
+        root = json.loads(document, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"document is not valid UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:

@@ -1,12 +1,13 @@
 """Command-line front end: validate, evaluate, normalize, compare, whatif.
 
-Reports go to stdout (table, json, or csv), diagnostics to stderr.
-Exit codes: 0 success, 1 I/O or usage error, 2 domain error. A report's
-table and csv columns are the scalar fields of its dataclass, in field order.
-Table mode renders fidelities as percentages with two decimals (half-to-even),
-and magnitudes from 1e16 on in scientific notation; json and csv carry full
-precision. Set NA_EVALKIT_COLOR=always|never|auto to control ANSI styling of
-table headers.
+Reports go to stdout (table, json, or csv), diagnostics to stderr. Exit codes:
+0 success, 1 I/O or usage error, 2 domain error, which ``main`` reports in one
+``error[<code>]: ...`` line; a command that walks a circuit stops at its first
+illegal stage. A report's table and csv columns are the scalar fields of its
+dataclass, in field order. Table mode renders fidelities as percentages with
+two decimals (half-to-even), and magnitudes from 1e16 on in scientific
+notation; json and csv carry full precision. Set NA_EVALKIT_COLOR=always|never|auto
+to control ANSI styling of table headers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import warnings
 
 from . import __version__, grid, normalize
 from .arch import ArchitectureSpec, parse_architecture
-from .errors import EvalKitError, IllegalStage, InvalidInput
+from .errors import EvalKitError, IllegalStage
 from .evaluator import FidelityBreakdown
 from .models import Model, WhatIfInput, WhatIfResult, evaluate_model, whatif_collapse
 from .rsqasm import Program, parse_program, serialize_program
@@ -129,25 +130,23 @@ def _fields(obj, columns: list[tuple[str, str]]) -> dict:
     return {name: getattr(obj, name) for name, _ in columns}
 
 
+def _print_warnings(index: int, diagnosis: grid.StageDiagnosis):
+    for warning in diagnosis.warnings:
+        print(f"warning: stage {index}: {warning}", file=sys.stderr)
+
+
 def cmd_validate(args) -> int:
     radius = args.interaction_radius
-    if radius is not None and not radius >= 0:  # NaN would silence every warning
-        raise InvalidInput(f"interaction radius must be >= 0, got {radius}")
+    grid.require_interaction_radius(radius)  # before any file is read
     program, spec = _load_program(args.circuit), _load_arch(args.arch)
     occupancy = grid.initial_state(spec).occupancy
-    failures = 0
     for index, stage in enumerate(program.stages):
         try:
             diagnosis = grid.advance(occupancy, spec.grid_side, stage, index, radius)
-        except IllegalStage as exc:
-            diagnosis = exc.diagnosis
-        for warning in diagnosis.warnings:
-            print(f"warning: stage {index}: {warning}", file=sys.stderr)
-        if not diagnosis.legal:
-            print(f"error[IllegalStage]: stage {index}: {diagnosis}", file=sys.stderr)
-            failures += 1
-    if failures:
-        return 2
+        except IllegalStage as exc:  # main prints its error line after its warnings
+            _print_warnings(index, exc.diagnosis)
+            raise
+        _print_warnings(index, diagnosis)
     print(f"ok: {len(program.stages)} stage(s), {len(occupancy)} atom(s)")
     return 0
 

@@ -16,6 +16,7 @@ the physical distance ``cell_distance * inter_qubit_distance``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -31,12 +32,18 @@ Fidelity = float
 def require_finite(report) -> None:
     """Raise NonFiniteResult naming the first field of a report dataclass
     that is NaN or an infinity: the times and distances (``float``) first,
-    then the fidelities computed from them, each group in field order."""
+    then the fidelities computed from them, each group in field order.
+    A subnormal field is stored as 0.0: below ``sys.float_info.min`` a float
+    has lost digits to underflow, and a product of factors can stick there."""
     for kind in ("float", "Fidelity"):
         for field in fields(report):
             value = getattr(report, field.name)
-            if field.type == kind and not math.isfinite(value):
+            if field.type != kind:
+                continue
+            if not math.isfinite(value):
                 raise NonFiniteResult(f"{field.name} is {value}: the inputs leave the float range")
+            if 0.0 < abs(value) < sys.float_info.min:
+                object.__setattr__(report, field.name, 0.0)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ processed concurrently. Only callers that own an occupancy map pass it to
 ``validate_stage`` and ``advance`` share one loop over a stage. It passes
 over every instruction that cannot yield a violation or a warning and
 diagnoses any other on the spot; a stage that yields nothing gets one
-shared legal diagnosis.
+shared legal diagnosis. An optional interaction radius only adds warnings;
+:func:`require_interaction_radius` is its one rule, which ``validate_stage``
+applies and a caller of ``advance`` applies once before its first stage.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arch import ArchitectureSpec
-from .errors import CellOutOfRange, IllegalStage, NonFiniteResult
+from .errors import CellOutOfRange, IllegalStage, InvalidInput, NonFiniteResult
 from .rsqasm import Move, Program, Stage
 
 
@@ -106,6 +108,13 @@ def cell_distance(a: int, b: int, side: int) -> float:
         raise NonFiniteResult("a distance between two cells leaves the float range") from exc
 
 
+def require_interaction_radius(interaction_radius: float | None) -> None:
+    """Raise InvalidInput unless the radius is None or a number >= 0: a NaN
+    radius would silence every warning, a negative one warn on every cz."""
+    if interaction_radius is not None and not interaction_radius >= 0:
+        raise InvalidInput(f"interaction radius must be >= 0, got {interaction_radius}")
+
+
 def validate_stage(
     state: GridState, stage: Stage, interaction_radius: float | None = None
 ) -> StageDiagnosis:
@@ -116,8 +125,9 @@ def validate_stage(
     range; a :class:`Stage` shares no cell between instructions by
     construction. When ``interaction_radius`` is given (cell units),
     two-qubit gates spanning a larger distance produce an advisory warning,
-    never a violation.
+    never a violation; a negative or NaN radius raises InvalidInput.
     """
+    require_interaction_radius(interaction_radius)
     return _check_stage(state.occupancy, state.side, stage, interaction_radius)
 
 
@@ -181,7 +191,9 @@ def advance(
     two instructions of a stage share a cell, applying them one by one is
     equivalent. Returns the diagnosis of a legal stage (its warnings may
     be nonempty). Raises :class:`IllegalStage` carrying the diagnosis, with
-    ``occupancy`` untouched, when the stage is not legal.
+    ``occupancy`` untouched, when the stage is not legal. The radius is not
+    checked here, since every walk calls this once per stage; check it once
+    with :func:`require_interaction_radius` first.
     """
     diagnosis = _check_stage(occupancy, side, stage, interaction_radius)
     if not diagnosis.legal:

@@ -11,7 +11,9 @@ barrier or per-qubit program order.
 ``barrier`` statements are recognised and recorded but are never gates; in
 particular a barrier is never treated as a two-qubit operation, so it
 contributes nothing to gate counts or fidelity. Rotation angles must be
-numeric literals in radians, in the angle grammar of circuit text.
+numeric literals in radians, in the angle grammar of circuit text. Every
+statement ends with ``;``, the last one too: text after the last ``;``
+other than blanks and comments is an unterminated statement.
 """
 
 from __future__ import annotations
@@ -122,7 +124,10 @@ def parse_flat_qasm(document: str) -> FlatCircuit:
     declared: int | None = None
     ops: list[FlatGate | FlatBarrier] = []
 
-    for raw in _strip_comments(document).split(";"):
+    *statements, tail = _strip_comments(document).split(";")
+    if tail.strip():
+        raise RsqasmSyntaxError(f"statement {' '.join(tail.split())!r} is not terminated by ';'")
+    for raw in statements:
         stmt = " ".join(raw.split())
         if not stmt:
             continue

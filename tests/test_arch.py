@@ -150,6 +150,18 @@ def test_integer_beyond_float_range_rejected():
         parse_architecture(_doc(poke))
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"gateFidelities": {"cz": 0.9996', '"gateFidelities": {"cz": 0.5, "cz": 0.9996', "cz"),
+    ('{"schema": 1', '{"schema": 7, "schema": 1', "schema"),
+], ids=["gate-fidelity", "schema"])
+def test_a_repeated_key_is_malformed(old, new, key):
+    # json.loads alone keeps the last value: cz = 0.9996, schema 1
+    document = arch_document(side=10, n_qubits=2)
+    assert old in document
+    with pytest.raises(MalformedDocument, match=f"^key '{key}' is repeated in one object$"):
+        parse_architecture(document.replace(old, new, 1))
+
+
 def test_missing_native_gate_entry():
     def drop(doc):
         del doc["parameters"]["gateTimes"]["s"]

@@ -93,6 +93,49 @@ def test_no_report_holds_a_non_finite_field(value):
                 dataclasses.replace(report, **{name: value})
 
 
+def _is_subnormal(value: float) -> bool:
+    return 0.0 < abs(value) < sys.float_info.min
+
+
+def test_a_subnormal_field_is_stored_as_zero():
+    for report in _valid_reports():
+        for field in dataclasses.fields(report):
+            if field.type in ("float", "Fidelity"):
+                for value in (5e-324, -1e-310):
+                    replaced = dataclasses.replace(report, **{field.name: value})
+                    assert getattr(replaced, field.name) == 0.0, field.name
+
+
+def _sticky_gate_factor() -> tuple[str, str]:
+    """Hardware and circuit text on which the unified gate factor, a product
+    taken gate by gate, is 10**-321.17: a subnormal."""
+    document = json.loads(arch_document(side=10, n_qubits=2, one_qubit_fidelity=1e-300))
+    document["parameters"]["gateFidelities"]["rz"] = 1e-21
+    circuit = "RSQASM 1.0;\nh q[0];\nrz(0.1) q[0];\n" + "cz q[0], q[1];\n" * 1000
+    return json.dumps(document), circuit
+
+
+@pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
+def test_no_model_reports_a_subnormal_gate_factor(tmp_path, model):
+    document, text = _sticky_gate_factor()
+    breakdown = evaluate_model(parse_program(text), parse_architecture(document), model)
+    arch, circuit = tmp_path / "arch.json", tmp_path / "circuit.rsqasm"
+    arch.write_text(document)
+    circuit.write_text(text)
+    code, out, err = _run(
+        ["evaluate", str(circuit), str(arch), "--model", model.value, "--format", "json"]
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    for field in dataclasses.fields(breakdown):
+        if field.type in ("float", "Fidelity"):
+            value = getattr(breakdown, field.name)
+            assert not _is_subnormal(value), field.name
+            assert report[field.name] == value, field.name
+    if model in (Model.UNIFIED, Model.HYBRIDMAPPER):  # dasatom and enola price cz alone
+        assert breakdown.f_gates == breakdown.asp == 0.0
+
+
 def _huge_grid_document(side: int, move_speed: float = 0.55) -> str:
     """Two atoms on cells 0 and 1 of a grid of the given side, however large."""
     document = json.loads(arch_document(side=4, n_qubits=2, move_speed=move_speed))

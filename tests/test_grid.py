@@ -20,7 +20,7 @@ from na_evalkit import (
 )
 from na_evalkit import grid
 from na_evalkit.cli import main
-from na_evalkit.errors import CellOutOfRange, IllegalStage
+from na_evalkit.errors import CellOutOfRange, IllegalStage, InvalidInput
 from na_evalkit.grid import ViolationKind
 from helpers import GOLDEN_TEXT, arch_document, make_spec, random_legal_program
 
@@ -114,6 +114,15 @@ def test_interaction_radius_is_advisory_only():
     diagnosis = validate_stage(initial_state(spec), stage, interaction_radius=2.0)
     assert diagnosis.legal
     assert len(diagnosis.warnings) == 1
+
+
+@pytest.mark.parametrize("radius", [math.nan, -1.0])
+def test_validate_stage_rejects_a_negative_or_nan_radius(radius):
+    # NaN would silence every warning, and -1.0 warn on every cz
+    spec = make_spec(side=10, n_qubits=30)
+    stage = Stage((Gate("cz", (), (0, 29)),))
+    with pytest.raises(InvalidInput, match="^interaction radius must be >= 0, got "):
+        validate_stage(initial_state(spec), stage, interaction_radius=radius)
 
 
 def test_apply_single_move():

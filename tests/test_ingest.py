@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,16 @@ def test_full_header_accepted():
     circuit = parse_flat_qasm(text)
     assert circuit.qubit_count == 4
     assert [g.name for g in circuit.gates] == ["h", "cz"]
+
+
+@pytest.mark.parametrize("document, statement", [
+    ("qreg q[2]; cz q[0],q[1]", "cz q[0],q[1]"),
+    ("h q[0];\nh q[1] // no semicolon\n", "h q[1]"),
+    ("qreg q[1]", "qreg q[1]"),
+])
+def test_a_last_statement_without_a_semicolon_is_rejected(document, statement):
+    with pytest.raises(RsqasmSyntaxError, match=f"^statement '{re.escape(statement)}' is not"):
+        parse_flat_qasm(document)
 
 
 def test_comments_stripped():
