@@ -24,6 +24,12 @@ takes none. Blank lines and lines starting with ``//`` are skipped; there,
 and around the header, blanks are spaces and tabs too. ``//`` after an
 instruction is an error. Instructions and stages are immutable records checked
 by their constructors, not dataclasses: tuples of their fields or instructions.
+A gate keeps its angles and cells as tuples, each angle a ``float`` and each
+cell an ``int``, so every record serializes to text that parses back to it.
+
+A stage line in the canonical form that ``serialize_program`` writes takes a
+faster path with the same outcome; every other line, and every error, goes
+through the general grammar.
 """
 
 from __future__ import annotations
@@ -82,6 +88,15 @@ class _Record(tuple):
         return f"{type(self).__name__}({fields})"
 
 
+def _require_cells(name: str, cells: tuple) -> None:
+    """Refuse a cell that its text could not carry: a non-int, a bool, or a negative int."""
+    for cell in cells:
+        if not isinstance(cell, int) or isinstance(cell, bool):
+            raise RsqasmSyntaxError(f"cell index in {name} must be an int, got {cell!r}")
+        if cell < 0:
+            raise RsqasmSyntaxError(f"negative cell index in {name}")
+
+
 class Gate(_Record):
     """A native gate applied to one or two grid cells."""
 
@@ -93,17 +108,26 @@ class Gate(_Record):
     operands = cells = property(itemgetter(2))
 
     def __new__(cls, name: str, params: tuple[float, ...], operands: tuple[int, ...]):
+        params, operands = tuple(params), tuple(operands)
         want_params, arity = cls._shapes.get(name, (None, None))
         if want_params is None:
             raise UnknownInstruction(f"unknown gate {name!r}")
         if len(params) != want_params:
             raise ParamError(f"{name} takes {want_params} parameter(s), got {len(params)}")
-        if params and not math.isfinite(params[0]):
-            raise ParamError(f"{name} parameter must be finite, got {params[0]!r}")
+        if params:
+            angle = params[0]
+            if not isinstance(angle, (int, float)) or isinstance(angle, bool):
+                raise ParamError(f"{name} parameter must be a number, got {angle!r}")
+            try:
+                angle = float(angle)
+            except OverflowError:  # an int beyond the float range
+                angle = math.inf if angle > 0 else -math.inf
+            if not math.isfinite(angle):
+                raise ParamError(f"{name} parameter must be finite, got {angle!r}")
+            params = (angle,)
         if len(operands) != arity:
             raise ArityError(f"{name} takes {arity} operand(s), got {len(operands)}")
-        if operands[0] < 0 or operands[-1] < 0:
-            raise RsqasmSyntaxError(f"negative cell index in {name}")
+        _require_cells(name, operands)
         return tuple.__new__(cls, (name, params, operands))
 
 
@@ -117,8 +141,7 @@ class Move(_Record):
     cells = property(tuple)  # (src, dst) as a plain tuple
 
     def __new__(cls, src: int, dst: int):
-        if src < 0 or dst < 0:
-            raise RsqasmSyntaxError("negative cell index in move")
+        _require_cells(MOVE_NAME, (src, dst))
         if src == dst:
             raise DuplicateCellInStage(f"move with identical source and target cell {src}")
         return tuple.__new__(cls, (src, dst))
@@ -182,6 +205,15 @@ _INSTRUCTION_RE = re.compile(
     re.ASCII | re.VERBOSE,
 )
 _CELL_RE = re.compile(r"\d+", re.ASCII)
+
+# One instruction as serialize_program writes it, from its name, angle and two
+# cells. At most 18 digits keeps int() far below sys.get_int_max_str_digits().
+_CANONICAL_OP = r"{}(?:\({}\))? q\[{}\](?:, q\[{}\])?;"
+_CANONICAL_PARTS = ("[a-z]+", ANGLE_LITERAL, r"\d{1,18}", r"\d{1,18}")
+_CANONICAL_LINE_RE = re.compile(f"(?:{_CANONICAL_OP.format(*_CANONICAL_PARTS)})+", re.ASCII)
+_CANONICAL_OP_RE = re.compile(  # findall gives (name, angle, a, b), '' where absent
+    _CANONICAL_OP.format(*(f"({part})" for part in _CANONICAL_PARTS)), re.ASCII
+)
 _OPERAND_FORM = "expected operand of the form q[<uint>]"
 
 
@@ -249,6 +281,38 @@ def _parse_stage_line(text: str, line: int) -> Stage:
         raise RsqasmSyntaxError("cell index has too many digits", line, column) from None
 
 
+def _canonical_stage(line: str) -> Stage | None:
+    """The stage of a line in the form serialize_program writes, or None.
+
+    The records are built without their constructors, after checking every
+    rule those check. Any doubt gives None and leaves the line, and any error
+    in it, to _parse_stage_line.
+    """
+    if _CANONICAL_LINE_RE.fullmatch(line) is None:
+        return None
+    new = tuple.__new__
+    shapes = Gate._shapes
+    ops = []
+    cells: list[int] = []
+    for name, angle, a, b in _CANONICAL_OP_RE.findall(line):
+        operands = (int(a), int(b)) if b else (int(a),)
+        if name == MOVE_NAME:
+            if angle or not b:  # src == dst fails the stage's disjointness below
+                return None
+            ops.append(new(Move, operands))
+        else:
+            params = (float(angle),) if angle else ()
+            if shapes.get(name) != (len(params), len(operands)):
+                return None
+            if params and not math.isfinite(params[0]):
+                return None
+            ops.append(new(Gate, (name, params, operands)))
+        cells += operands
+    if len(set(cells)) != len(cells):
+        return None
+    return new(Stage, ops)
+
+
 def parse_program(document: str | bytes | bytearray | memoryview) -> Program:
     """Parse circuit text into a :class:`Program`.
 
@@ -282,18 +346,10 @@ def parse_program(document: str | bytes | bytearray | memoryview) -> Program:
                 raise UnsupportedVersion("version number has too many digits", line_no, 1) from None
             header = _located(line_no, 1, Program, major, minor)
             continue
-        stages.append(_parse_stage_line(line, line_no))
+        stages.append(_canonical_stage(line) or _parse_stage_line(line, line_no))
     if header is None:
         raise MissingHeader("document has no header line")
     return Program(header.version_major, header.version_minor, tuple(stages))
-
-
-def _render_instruction(op: Instruction) -> str:
-    if isinstance(op, Move):
-        return f"move q[{op.src}], q[{op.dst}];"
-    head = f"{op.name}({op.params[0]!r})" if op.params else op.name
-    args = ", ".join(f"q[{c}]" for c in op.operands)
-    return f"{head} {args};"
 
 
 def serialize_program(program: Program) -> str:
@@ -306,5 +362,16 @@ def serialize_program(program: Program) -> str:
     """
     lines = [f"RSQASM {program.version_major}.{program.version_minor};"]
     for stage in program.stages:
-        lines.append("".join(_render_instruction(op) for op in stage))
+        parts = []
+        for op in stage:
+            if type(op) is Move:
+                parts.append(f"move q[{op[0]}], q[{op[1]}];")
+                continue
+            name, params, cells = op
+            head = f"{name}({params[0]!r})" if params else name
+            if len(cells) == 2:
+                parts.append(f"{head} q[{cells[0]}], q[{cells[1]}];")
+            else:
+                parts.append(f"{head} q[{cells[0]}];")
+        lines.append("".join(parts))
     return "\n".join(lines) + "\n"

@@ -1,0 +1,179 @@
+"""The canonical form in both directions: the parser's fast path for lines that
+``serialize_program`` writes, and the serializer's byte-exact output.
+
+The fast path, ``_canonical_stage``, builds a stage without the record
+constructors. It may only take a line or decline it: every line it declines,
+and every error, is decided by ``_parse_stage_line``, and so must match
+``rsqasm_reference``. The serializer is compared with the per-instruction
+rendering it replaced, kept below verbatim as the oracle.
+"""
+
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import rsqasm_reference as reference
+from na_evalkit import Gate, Move, Program, Stage, parse_program, rsqasm
+from na_evalkit.errors import RsqasmError
+from na_evalkit.rsqasm import Instruction, _canonical_stage, serialize_program
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CIRCUITS = sorted(GOLDEN.glob("*/*.rsqasm"))
+
+
+# --- the replaced serializer, verbatim -----------------------------------------
+
+def _render_instruction(op: Instruction) -> str:
+    if isinstance(op, Move):
+        return f"move q[{op.src}], q[{op.dst}];"
+    head = f"{op.name}({op.params[0]!r})" if op.params else op.name
+    args = ", ".join(f"q[{c}]" for c in op.operands)
+    return f"{head} {args};"
+
+
+def reference_serialize_program(program: Program) -> str:
+    lines = [f"RSQASM {program.version_major}.{program.version_minor};"]
+    for stage in program.stages:
+        lines.append("".join(_render_instruction(op) for op in stage))
+    return "\n".join(lines) + "\n"
+
+
+# --- drawn programs ------------------------------------------------------------
+
+_ANGLES = st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 0.1, -2.5, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_CELLS = st.sampled_from([0, 10**18 - 1]) | st.integers(0, 10**18 - 1)  # up to 18 digits
+
+
+@st.composite
+def _stages(draw):
+    cells = draw(st.lists(_CELLS, unique=True, min_size=1, max_size=8))
+    ops = []
+    while cells:
+        kind = draw(st.sampled_from(["one", "rot", "cz", "move"]))
+        if kind in ("cz", "move") and len(cells) >= 2:
+            a, b = cells.pop(), cells.pop()
+            ops.append(Gate("cz", (), (a, b)) if kind == "cz" else Move(a, b))
+        elif kind == "rot":
+            name = draw(st.sampled_from(["rx", "ry", "rz"]))
+            ops.append(Gate(name, (draw(_ANGLES),), (cells.pop(),)))
+        else:
+            ops.append(Gate(draw(st.sampled_from(["h", "s", "t"])), (), (cells.pop(),)))
+    return Stage(tuple(ops))
+
+
+_PROGRAMS = st.builds(
+    lambda minor, stages: Program(1, minor, tuple(stages)),
+    st.integers(0, 12),
+    st.lists(_stages(), max_size=8),
+)
+
+
+def _general_path_forbidden(text, line):
+    raise AssertionError(f"line {line} left the fast path: {text!r}")
+
+
+def _parse_on_the_fast_path(document):
+    with mock.patch.object(rsqasm, "_parse_stage_line", _general_path_forbidden):
+        return parse_program(document)
+
+
+def _assert_same_records(got: Program, expected: Program):
+    """Equal, and equal in repr: the same types and the sign of every zero."""
+    assert got == expected
+    assert [repr(stage) for stage in got.stages] == [repr(stage) for stage in expected.stages]
+
+
+# --- the serializer is byte-identical ----------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(_PROGRAMS)
+@example(Program(1, 0, (Stage((Gate("rz", (-0.0,), (0,)), Gate("rx", (1e-300,), (1,)),
+                               Gate("ry", (0.1,), (2,)), Move(3, 4), Gate("cz", (), (5, 6)))),)))
+def test_serializer_matches_the_per_instruction_rendering(program):
+    assert serialize_program(program) == reference_serialize_program(program)
+
+
+@pytest.mark.parametrize("path", GOLDEN_CIRCUITS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_serializer_rewrites_the_golden_circuits(path):
+    text = path.read_text(encoding="utf-8")
+    program = parse_program(text)
+    assert serialize_program(program) == reference_serialize_program(program) == text
+
+
+# --- the fast path is really taken -------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(_PROGRAMS, st.sampled_from(["\n", "\r\n"]))
+def test_serialized_programs_take_the_fast_path(program, newline):
+    document = serialize_program(program).replace("\n", newline)
+    got = _parse_on_the_fast_path(document)
+    assert got == program
+    _assert_same_records(got, reference.parse_program(document))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("path", GOLDEN_CIRCUITS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_golden_circuits_take_the_fast_path(path, newline):
+    document = path.read_bytes().replace(b"\n", newline.encode())
+    _assert_same_records(_parse_on_the_fast_path(document), reference.parse_program(document))
+
+
+def test_the_spy_sees_the_general_path():
+    with pytest.raises(AssertionError, match="left the fast path"):
+        _parse_on_the_fast_path("RSQASM 1.0;\nh  q[0];\n")
+
+
+# --- the fast path declines and never decides ----------------------------------
+
+@pytest.mark.parametrize("line", [
+    "h(0.5) q[0];",
+    "rz q[0];",
+    "cz q[0];",
+    "h q[0], q[1];",
+    "move(0.5) q[0], q[1];",
+    "move q[0];",
+    "move q[1], q[1];",
+    "move q[01], q[1];",
+    "cx q[0], q[1];",
+    "H q[0];",
+    "rz(1e999) q[0];",
+    "h q[0];cz q[0], q[1];",
+    "h q[7];cz q[1], q[007];",
+    " h q[0];",
+    "h  q[0];",
+    "h q[0]; ",
+    "h q[0];\tcz q[1], q[2];",
+    "h q[0]; // note",
+    "h q[1234567890123456789];",
+    "h q[" + "9" * 5000 + "];",
+])
+def test_the_fast_path_declines_and_the_general_path_decides(line):
+    assert _canonical_stage(line) is None
+    document = f"RSQASM 1.0;\n{line}\n"
+    try:
+        expected = reference.parse_program(document)
+    except RsqasmError as exc:
+        expected = exc
+    if isinstance(expected, Program):
+        _assert_same_records(parse_program(document), expected)
+        return
+    with pytest.raises(RsqasmError) as caught:
+        parse_program(document)
+    got = caught.value
+    assert (type(got), got.line, got.column) == (type(expected), expected.line, expected.column)
+
+
+@pytest.mark.parametrize("line", [
+    "h q[007];",
+    "rz(+1.) q[1];",
+    "rx(.5e-3) q[2];cz q[3], q[4];",
+    "ry(-0) q[999999999999999999];",
+])
+def test_the_fast_path_takes_what_the_general_path_gives(line):
+    stage = _canonical_stage(line)
+    assert stage is not None
+    assert repr(stage) == repr(rsqasm._parse_stage_line(line, 2))

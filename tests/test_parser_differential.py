@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import rsqasm_reference as reference
 from na_evalkit import Gate, Move, Program, Stage, parse_flat_qasm, parse_program
 from na_evalkit.errors import EvalKitError, MissingHeader, RsqasmError, RsqasmSyntaxError
-from na_evalkit.rsqasm import serialize_program
+from na_evalkit.rsqasm import _canonical_stage, _parse_stage_line, serialize_program
 
 _INSIDE_OPERAND = ("expected '['", "expected a nonnegative cell index", "expected ']'")
 _OPERAND_FORM = "expected operand of the form q[<uint>]"
@@ -151,6 +151,14 @@ def _rendered_programs(draw):
 def test_drawn_programs_parse_equally(case):
     program, document = case
     assert parse_program(document) == reference.parse_program(document) == program
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PROGRAMS)
+def test_canonical_stage_equals_the_general_parse(program):
+    lines = serialize_program(program).split("\n")[1:-1]
+    for number, line in enumerate(lines, start=2):
+        assert _canonical_stage(line) == _parse_stage_line(line, number), line
 
 
 # --- mutated documents and random text ---------------------------------------

@@ -23,7 +23,7 @@ from na_evalkit.errors import (
     RsqasmSyntaxError,
     UnknownInstruction,
 )
-from na_evalkit.rsqasm import NATIVE_GATES, ONE_PARAM_GATES, gate_arity
+from na_evalkit.rsqasm import NATIVE_GATES, ONE_PARAM_GATES, gate_arity, serialize_program
 
 TEXT = (
     "RSQASM 1.0;\n"
@@ -268,3 +268,40 @@ def test_records_are_unordered(a, b):
     for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
         with pytest.raises(TypeError):
             compare()
+
+
+# --- values the text cannot carry ------------------------------------------------
+
+def _round_trip(op):
+    program = Program(1, 0, (Stage((op,)),))
+    return parse_program(serialize_program(program)) == program
+
+
+@pytest.mark.parametrize("build, args, error, message", [
+    (Move, (1.5, 2), RsqasmSyntaxError, "cell index in move must be an int, got 1.5"),
+    (Move, (True, 2), RsqasmSyntaxError, "cell index in move must be an int, got True"),
+    (Move, (2, False), RsqasmSyntaxError, "cell index in move must be an int, got False"),
+    (Gate, ("rz", (True,), (0,)), ParamError, "rz parameter must be a number, got True"),
+    (Gate, ("rz", ("0.5",), (0,)), ParamError, "rz parameter must be a number, got '0.5'"),
+    (Gate, ("h", (), ("3",)), RsqasmSyntaxError, "cell index in h must be an int, got '3'"),
+    (Gate, ("cz", (), (0, 1.0)), RsqasmSyntaxError, "cell index in cz must be an int, got 1.0"),
+    (Gate, ("rz", (-10**400,), (0,)), ParamError, "rz parameter must be finite, got -inf"),
+], ids=["move-float", "move-bool", "move-bool-dst", "gate-bool-angle", "gate-str-angle",
+        "gate-str-cell", "gate-float-cell", "gate-huge-int-angle"])
+def test_values_the_text_cannot_carry_are_refused(build, args, error, message):
+    with pytest.raises(error) as caught:
+        build(*args)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("args, fields", [
+    (("cz", (), [0, 1]), ("cz", (), (0, 1))),
+    (("rz", [0.5], (0,)), ("rz", (0.5,), (0,))),
+    (("rz", (1,), (0,)), ("rz", (1.0,), (0,))),
+], ids=["list-operands", "list-params", "int-angle"])
+def test_gate_stores_tuples_and_float_angles(args, fields):
+    gate = Gate(*args)
+    assert (gate.name, gate.params, gate.operands) == fields
+    assert type(gate.params) is tuple and type(gate.operands) is tuple
+    assert all(type(angle) is float for angle in gate.params)
+    assert gate == Gate(*fields) and _round_trip(gate)
