@@ -154,6 +154,7 @@ def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
     gate without a configured duration or fidelity.
     """
     side = spec.grid_side
+    cell_distance = grid.cell_distance
     occupancy = grid.initial_state(spec).occupancy
     busy = {q.id: 0.0 for q in spec.qubits}
     stages: list[tuple[float | None, float | None]] = []
@@ -168,26 +169,30 @@ def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
         stage_distance = 0.0
         for op in stage:
             if type(op) is Move:
-                distance = grid.cell_distance(op.src, op.dst, side)
+                src, dst = op
+                distance = cell_distance(src, dst, side)
                 stage_distance += distance
                 move_count += 1
                 if longest_move is None or distance > longest_move:
                     longest_move = distance
                 continue
-            name, operands = op.name, op.operands
-            if name not in gates:
-                gates[name] = gate_duration(name, spec), gate_fidelity(name, spec)
-            duration, fidelity = gates[name]
+            name, _, operands = op
+            try:
+                duration, fidelity = gates[name]
+            except KeyError:
+                duration, fidelity = gates[name] = gate_duration(name, spec), gate_fidelity(name, spec)
             gate_time += duration
             f_gates *= fidelity
             if longest_gate is None or duration > longest_gate:
                 longest_gate = duration
             if len(operands) == 2:
                 g2 += 1
+                a, b = operands
+                busy[occupancy[a]] += duration
+                busy[occupancy[b]] += duration
             else:
                 g1 += 1
-            for cell in operands:
-                busy[occupancy[cell]] += duration
+                busy[occupancy[operands[0]]] += duration
         move_distance += stage_distance
         stages.append((longest_gate, longest_move))
     return ProgramTrace(

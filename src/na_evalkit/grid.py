@@ -7,10 +7,12 @@ their input once, run every stage on that private copy through
 processed concurrently. Only callers that own an occupancy map pass it to
 ``advance`` directly; it builds no state per stage.
 
-``validate_stage`` and ``advance`` share one loop over a stage. It passes
-over every instruction that cannot yield a violation or a warning and
-diagnoses any other on the spot; a stage that yields nothing gets one
-shared legal diagnosis. An optional interaction radius only adds warnings;
+``advance`` accepts a legal stage in one loop: it passes over every
+instruction that cannot yield a violation or a warning, collects the moves,
+and applies them once the whole stage has passed. Every other stage, and
+every stage given to ``validate_stage``, goes unchanged to ``_check_stage``,
+the one diagnosis. A stage that yields nothing gets one shared legal
+diagnosis. An optional interaction radius only adds warnings;
 :func:`require_interaction_radius` is its one rule, which ``validate_stage``
 applies and a caller of ``advance`` applies once before its first stage.
 """
@@ -97,11 +99,16 @@ def cell_coords(cell: int, side: int) -> tuple[int, int]:
 def cell_distance(a: int, b: int, side: int) -> float:
     """Euclidean distance between two cells, in cell units.
 
-    Raises NonFiniteResult when the cells lie farther apart, along a row or a
+    Raises CellOutOfRange for a cell off the grid, ``a`` first, and
+    NonFiniteResult when the cells lie farther apart, along a row or a
     column, than the largest float.
     """
-    xa, ya = cell_coords(a, side)
-    xb, yb = cell_coords(b, side)
+    limit = side * side
+    if not (0 <= a < limit and 0 <= b < limit):
+        cell_coords(a, side)
+        cell_coords(b, side)
+    ya, xa = divmod(a, side)
+    yb, xb = divmod(b, side)
     try:
         return math.hypot(xa - xb, ya - yb)
     except OverflowError as exc:  # an integer offset beyond the float range
@@ -134,45 +141,32 @@ def validate_stage(
 def _check_stage(
     occupied: dict[int, int], side: int, stage: Stage, interaction_radius: float | None
 ) -> StageDiagnosis:
-    """:func:`validate_stage` over a bare occupancy map. An instruction that
-    passes the cheap test yields nothing; only the others are diagnosed."""
+    """:func:`validate_stage` over a bare occupancy map: every instruction diagnosed."""
     limit = side * side
     violations: list[Violation] = []
     warnings: list[str] = []
     for i, op in enumerate(stage):
-        if type(op) is Move:
-            src, dst = op.src, op.dst
-            if src in occupied and dst not in occupied and src < limit and dst < limit:
-                continue
-        else:
-            operands = op.operands
-            first, last = operands[0], operands[-1]  # a gate has one or two
-            if (
-                first in occupied and last in occupied and first < limit and last < limit
-                and (interaction_radius is None or len(operands) == 1)
-            ):
-                continue
         outside = [Violation(ViolationKind.CELL_OUT_OF_RANGE, i, c) for c in op.cells if c >= limit]
         if outside:
             violations += outside
         elif type(op) is Move:
+            src, dst = op
             if src not in occupied:
                 violations.append(Violation(ViolationKind.MOVE_FROM_EMPTY_CELL, i, src))
             if dst in occupied:
                 violations.append(Violation(ViolationKind.MOVE_TO_OCCUPIED_CELL, i, dst))
         else:
+            name, _, operands = op
             for cell in operands:
                 if cell not in occupied:
                     violations.append(Violation(ViolationKind.GATE_ON_EMPTY_CELL, i, cell))
-            if (
-                interaction_radius is not None
-                and len(operands) == 2
-                and cell_distance(first, last, side) > interaction_radius
-            ):
-                warnings.append(
-                    f"instruction {i}: {op.name} operands {first} and {last} "
-                    f"are farther apart than radius {interaction_radius}"
-                )
+            if interaction_radius is not None and len(operands) == 2:
+                first, last = operands
+                if cell_distance(first, last, side) > interaction_radius:
+                    warnings.append(
+                        f"instruction {i}: {name} operands {first} and {last} "
+                        f"are farther apart than radius {interaction_radius}"
+                    )
     if violations or warnings:
         return StageDiagnosis(tuple(violations), tuple(warnings))
     return _LEGAL
@@ -195,12 +189,31 @@ def advance(
     checked here, since every walk calls this once per stage; check it once
     with :func:`require_interaction_radius` first.
     """
-    diagnosis = _check_stage(occupancy, side, stage, interaction_radius)
-    if not diagnosis.legal:
-        raise IllegalStage(str(diagnosis), diagnosis, stage_index)
-    for op in stage:
-        if isinstance(op, Move):
-            occupancy[op.dst] = occupancy.pop(op.src)
+    limit = side * side
+    moves = []
+    for op in stage:  # accept what cannot yield a violation or a warning
+        if type(op) is Move:
+            src, dst = op
+            if src in occupancy and dst not in occupancy and src < limit and dst < limit:
+                moves.append(op)
+                continue
+        else:
+            operands = op[2]
+            first, last = operands[0], operands[-1]  # a gate has one or two
+            if (
+                first in occupancy and last in occupancy and first < limit and last < limit
+                and (interaction_radius is None or len(operands) == 1)
+            ):
+                continue
+        diagnosis = _check_stage(occupancy, side, stage, interaction_radius)
+        if not diagnosis.legal:
+            raise IllegalStage(str(diagnosis), diagnosis, stage_index)
+        moves = [op for op in stage if type(op) is Move]
+        break
+    else:
+        diagnosis = _LEGAL
+    for src, dst in moves:
+        occupancy[dst] = occupancy.pop(src)
     return diagnosis
 
 

@@ -28,8 +28,9 @@ A gate keeps its angles and cells as tuples, each angle a ``float`` and each
 cell an ``int``, so every record serializes to text that parses back to it.
 
 A stage line in the canonical form that ``serialize_program`` writes takes a
-faster path with the same outcome; every other line, and every error, goes
-through the general grammar.
+faster path with the same outcome: one match call (a ``findall``) reads the
+whole line, and the records are built from its groups. Every other line, and
+every error, goes through the general grammar.
 """
 
 from __future__ import annotations
@@ -173,15 +174,29 @@ class Stage(_Record):
 
 @dataclass(frozen=True)
 class Program:
-    """A parsed circuit: format version plus an ordered stage list."""
+    """A parsed circuit: format version plus an ordered stage list.
+
+    Like the records, it holds only what its text can carry: an ``int``
+    version, major 1 and minor >= 0, and a tuple of :class:`Stage` records.
+    """
 
     version_major: int = 1
     version_minor: int = 0
     stages: tuple[Stage, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        for part in (self.version_major, self.version_minor):
+            if not isinstance(part, int) or isinstance(part, bool):
+                raise UnsupportedVersion(f"version number must be an int, got {part!r}")
         if self.version_major != 1:
             raise UnsupportedVersion(f"unsupported major version {self.version_major}")
+        if self.version_minor < 0:
+            raise UnsupportedVersion(f"negative minor version {self.version_minor}")
+        stages = tuple(self.stages)
+        for stage in stages:
+            if not isinstance(stage, Stage):
+                raise RsqasmSyntaxError(f"a program holds Stage records, got {stage!r}")
+        object.__setattr__(self, "stages", stages)
 
 
 _HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;[ \t]*$", re.ASCII)
@@ -206,13 +221,25 @@ _INSTRUCTION_RE = re.compile(
 )
 _CELL_RE = re.compile(r"\d+", re.ASCII)
 
-# One instruction as serialize_program writes it, from its name, angle and two
-# cells. At most 18 digits keeps int() far below sys.get_int_max_str_digits().
-_CANONICAL_OP = r"{}(?:\({}\))? q\[{}\](?:, q\[{}\])?;"
-_CANONICAL_PARTS = ("[a-z]+", ANGLE_LITERAL, r"\d{1,18}", r"\d{1,18}")
-_CANONICAL_LINE_RE = re.compile(f"(?:{_CANONICAL_OP.format(*_CANONICAL_PARTS)})+", re.ASCII)
-_CANONICAL_OP_RE = re.compile(  # findall gives (name, angle, a, b), '' where absent
-    _CANONICAL_OP.format(*(f"({part})" for part in _CANONICAL_PARTS)), re.ASCII
+
+def _names(names: frozenset[str]) -> str:
+    return "|".join(map(re.escape, sorted(names)))
+
+
+# Each instruction as serialize_program writes it, one alternative per shape, so
+# the branch that matches fixes the shape; at most 18 digits keeps int() far below
+# sys.get_int_max_str_digits(). The last alternative takes the rest of the line
+# wherever no such instruction starts, so findall's matches tile the line, and
+# the line is canonical iff that group stays empty. findall gives, per match,
+# (two-qubit name, a, b, rotation name, angle, a, one-qubit name, a, src, dst, rest).
+_CANONICAL_CELL = r"q\[(\d{1,18})\]"
+_CANONICAL_OP_RE = re.compile(
+    rf"""({_names(TWO_QUBIT_GATES)})\ {_CANONICAL_CELL},\ {_CANONICAL_CELL};
+    |({_names(ONE_PARAM_GATES)})\(({ANGLE_LITERAL})\)\ {_CANONICAL_CELL};
+    |({_names(NATIVE_GATES - ONE_PARAM_GATES - TWO_QUBIT_GATES)})\ {_CANONICAL_CELL};
+    |{re.escape(MOVE_NAME)}\ {_CANONICAL_CELL},\ {_CANONICAL_CELL};
+    |(.+)""",
+    re.ASCII | re.VERBOSE,
 )
 _OPERAND_FORM = "expected operand of the form q[<uint>]"
 
@@ -284,31 +311,34 @@ def _parse_stage_line(text: str, line: int) -> Stage:
 def _canonical_stage(line: str) -> Stage | None:
     """The stage of a line in the form serialize_program writes, or None.
 
-    The records are built without their constructors, after checking every
-    rule those check. Any doubt gives None and leaves the line, and any error
-    in it, to _parse_stage_line.
+    One findall reads the line. The records are built without their
+    constructors, after checking every rule those check that the pattern does
+    not: a finite angle and distinct cells. Any doubt gives None and leaves the
+    line, and any error in it, to _parse_stage_line.
     """
-    if _CANONICAL_LINE_RE.fullmatch(line) is None:
-        return None
     new = tuple.__new__
-    shapes = Gate._shapes
     ops = []
     cells: list[int] = []
-    for name, angle, a, b in _CANONICAL_OP_RE.findall(line):
-        operands = (int(a), int(b)) if b else (int(a),)
-        if name == MOVE_NAME:
-            if angle or not b:  # src == dst fails the stage's disjointness below
-                return None
+    for two, a2, b2, rot, angle, ar, one, a1, src, dst, rest in _CANONICAL_OP_RE.findall(line):
+        if one:
+            operands = (int(a1),)
+            ops.append(new(Gate, (one, (), operands)))
+        elif src:  # src == dst fails the disjointness check below
+            operands = (int(src), int(dst))
             ops.append(new(Move, operands))
-        else:
-            params = (float(angle),) if angle else ()
-            if shapes.get(name) != (len(params), len(operands)):
+        elif two:
+            operands = (int(a2), int(b2))
+            ops.append(new(Gate, (two, (), operands)))
+        elif rot:
+            params = (float(angle),)
+            if not math.isfinite(params[0]):
                 return None
-            if params and not math.isfinite(params[0]):
-                return None
-            ops.append(new(Gate, (name, params, operands)))
+            operands = (int(ar),)
+            ops.append(new(Gate, (rot, params, operands)))
+        else:  # the rest of a line that is not canonical
+            return None
         cells += operands
-    if len(set(cells)) != len(cells):
+    if not ops or len(set(cells)) != len(cells):
         return None
     return new(Stage, ops)
 

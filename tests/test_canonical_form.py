@@ -1,10 +1,10 @@
 """The canonical form in both directions: the parser's fast path for lines that
 ``serialize_program`` writes, and the serializer's byte-exact output.
 
-The fast path, ``_canonical_stage``, builds a stage without the record
-constructors. It may only take a line or decline it: every line it declines,
-and every error, is decided by ``_parse_stage_line``, and so must match
-``rsqasm_reference``. The serializer is compared with the per-instruction
+The fast path, ``_canonical_stage``, reads a line with one match call and
+builds a stage without the record constructors. It may only take a line or
+decline it: every line it declines, and every error, is decided by
+``_parse_stage_line``, and so must match ``rsqasm_reference``. The serializer is compared with the per-instruction
 rendering it replaced, kept below verbatim as the oracle.
 """
 

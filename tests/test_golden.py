@@ -2,9 +2,10 @@
 
 Each directory under ``tests/golden/`` holds one case: ``arch.json`` and
 ``circuit.rsqasm`` as inputs, ``collapsed.rsqasm`` as the circuit that
-``normalize --emit`` writes, and one file per report. The commands run
-inside the case directory with relative paths, because reports echo the
-paths they were given.
+``normalize --emit`` writes, and one file per report. ``dense`` also holds
+``validate-radius2.txt``: the warnings and verdict of ``validate`` under an
+interaction radius of 2. The commands run inside the case directory with
+relative paths, because reports echo the paths they were given.
 
 The corpus was built once by the seeded generators in ``helpers.py``; to
 rebuild it after a deliberate change of output, run from the repository
@@ -54,6 +55,18 @@ def _run(argv: list[str]) -> str:
     return out.getvalue()
 
 
+# the dense case's warnings under a radius: stderr first, then stdout
+RADIUS_REPORT = "validate-radius2.txt"
+RADIUS_ARGV = ["validate", "circuit.rsqasm", "arch.json", "--interaction-radius", "2"]
+
+
+def _run_with_warnings(argv: list[str]) -> str:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        out = _run(argv)
+    return err.getvalue() + out
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_emitted_circuit_is_byte_identical(case, tmp_path, monkeypatch):
     monkeypatch.chdir(GOLDEN / case)
@@ -67,6 +80,12 @@ def test_emitted_circuit_is_byte_identical(case, tmp_path, monkeypatch):
 def test_report_is_byte_identical(case, expected, argv, monkeypatch):
     monkeypatch.chdir(GOLDEN / case)
     assert _run(argv).encode("utf-8") == (GOLDEN / case / expected).read_bytes()
+
+
+def test_radius_warnings_are_byte_identical(monkeypatch):
+    monkeypatch.chdir(GOLDEN / "dense")
+    got = _run_with_warnings(RADIUS_ARGV)
+    assert got.encode("utf-8") == (GOLDEN / "dense" / RADIUS_REPORT).read_bytes()
 
 
 def _build_corpus():
@@ -93,6 +112,8 @@ def _build_corpus():
         try:
             for name, argv in _reports():
                 Path(name).write_text(_run(argv), encoding="utf-8")
+            if case == "dense":
+                Path(RADIUS_REPORT).write_text(_run_with_warnings(RADIUS_ARGV), encoding="utf-8")
         finally:
             os.chdir(home)
 

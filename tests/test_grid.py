@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +56,12 @@ def test_cell_distance_out_of_range():
         cell_distance(0, 16, 4)
     with pytest.raises(CellOutOfRange):
         cell_distance(16, 0, 4)
+
+
+@pytest.mark.parametrize("a, b, bad", [(0, 16, 16), (16, 0, 16), (17, 16, 17), (-1, 20, -1)])
+def test_cell_distance_names_the_first_cell_off_the_grid(a, b, bad):
+    with pytest.raises(CellOutOfRange, match=rf"^cell {bad} outside a 4x4 grid$"):
+        cell_distance(a, b, 4)
 
 
 @given(st.data())
@@ -238,15 +245,30 @@ def test_validate_checks_each_stage_once(tmp_path, monkeypatch, capsys):
     arch.write_text(arch_document(side=6, cells=list(range(7))))
 
     calls = []
-    original = grid._check_stage
+    original = grid.advance
 
-    def counting(occupied, side, stage, *args, **kwargs):
+    def counting(occupancy, side, stage, *args, **kwargs):
         calls.append(stage)
-        return original(occupied, side, stage, *args, **kwargs)
+        return original(occupancy, side, stage, *args, **kwargs)
 
-    monkeypatch.setattr(grid, "_check_stage", counting)
+    monkeypatch.setattr(grid, "advance", counting)
     assert main(["validate", str(circuit), str(arch)]) == 0
     assert calls == list(program.stages)
+
+
+@pytest.mark.parametrize("case", ["dense", "table1"])
+def test_legal_golden_stages_never_reach_the_diagnosis(case, monkeypatch, capsys):
+    def diagnosed(occupied, side, stage, *args):
+        raise AssertionError(f"a legal stage was diagnosed: {stage!r}")
+
+    monkeypatch.setattr(grid, "_check_stage", diagnosed)
+    monkeypatch.chdir(Path(__file__).parent / "golden" / case)
+    runs = [["validate", "circuit.rsqasm", "arch.json"], ["normalize", "circuit.rsqasm", "arch.json"]]
+    for circuit in ("circuit.rsqasm", "collapsed.rsqasm"):
+        for model in ("unified", "hybridmapper", "dasatom", "enola"):
+            runs.append(["evaluate", circuit, "arch.json", "--model", model])
+    for argv in runs:
+        assert main(argv) == 0, capsys.readouterr().err
 
 
 def test_grid_states_built_do_not_grow_with_the_stage_count(tmp_path, monkeypatch):

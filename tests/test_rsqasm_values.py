@@ -22,6 +22,7 @@ from na_evalkit.errors import (
     RsqasmError,
     RsqasmSyntaxError,
     UnknownInstruction,
+    UnsupportedVersion,
 )
 from na_evalkit.rsqasm import NATIVE_GATES, ONE_PARAM_GATES, gate_arity, serialize_program
 
@@ -305,3 +306,28 @@ def test_gate_stores_tuples_and_float_angles(args, fields):
     assert type(gate.params) is tuple and type(gate.operands) is tuple
     assert all(type(angle) is float for angle in gate.params)
     assert gate == Gate(*fields) and _round_trip(gate)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((1, True, ()), UnsupportedVersion, "version number must be an int, got True"),
+    ((True, 0, ()), UnsupportedVersion, "version number must be an int, got True"),
+    ((1, -1, ()), UnsupportedVersion, "negative minor version -1"),
+    ((1.0, 0.5, ()), UnsupportedVersion, "version number must be an int, got 1.0"),
+    ((1, 0.5, ()), UnsupportedVersion, "version number must be an int, got 0.5"),
+    ((1, 0, (("x",),)), RsqasmSyntaxError, "a program holds Stage records, got ('x',)"),
+    ((1, 0, (Gate("h", (), (0,)),)), RsqasmSyntaxError,
+     "a program holds Stage records, got Gate(name='h', params=(), operands=(0,))"),
+], ids=["bool-minor", "bool-major", "negative-minor", "float-version", "float-minor",
+        "tuple-stage", "gate-stage"])
+def test_program_refuses_what_its_header_cannot_carry(args, error, message):
+    with pytest.raises(error) as caught:
+        Program(*args)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_program_stores_its_stages_as_a_tuple():
+    stage = Stage((Gate("h", (), (0,)),))
+    program = Program(1, 0, [stage])
+    assert type(program.stages) is tuple and program.stages == (stage,)
+    assert parse_program(serialize_program(program)) == program
+    assert Program(1, 0, iter([stage])) == program

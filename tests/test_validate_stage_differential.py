@@ -1,10 +1,12 @@
-"""``grid.validate_stage`` against an op-by-op reference, and the trace's
-gate-table errors.
+"""``grid.validate_stage`` and ``grid.advance`` against an op-by-op reference,
+and the trace's gate-table errors.
 
 ``_reference`` is ``validate_stage`` as it was before the cheap legality pass:
 one loop that checks every instruction. On random stages, legal and illegal,
 with cells off the grid and with or without an interaction radius, both must
-give the same violations in the same order and the same warnings.
+give the same violations in the same order and the same warnings. ``advance``
+must also apply a legal stage's moves and leave an illegal stage's occupancy
+untouched.
 """
 
 import dataclasses
@@ -12,7 +14,9 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from na_evalkit import Gate, Move, Program, Stage, trace_program, validate_stage
+from na_evalkit import (
+    Gate, Move, Program, Stage, parse_program, trace_program, validate_stage,
+)
 from na_evalkit.errors import IllegalStage, UnknownGate
 from na_evalkit.grid import (
     _LEGAL,
@@ -20,6 +24,7 @@ from na_evalkit.grid import (
     StageDiagnosis,
     Violation,
     ViolationKind,
+    advance,
     cell_distance,
 )
 from helpers import make_spec
@@ -124,6 +129,35 @@ def test_validate_stage_matches_the_reference(case):
         assert got is _LEGAL
 
 
+@settings(max_examples=600, deadline=None)
+@given(_cases(), st.none() | st.integers(0, 10**4))
+@example((GridState(2, {0: 0, 1: 1, 9: 2}), Stage((Gate("h", (), (9,)),)), None), 3)
+@example((GridState(2, {0: 0, 1: 1}), Stage((Move(0, 2), Gate("cz", (), (1, 7)))), None), 0)
+@example((GridState(3, {0: 0, 4: 1, 8: 2}), Stage((Move(4, 5), Gate("cz", (), (0, 8)))), 2.0), 1)
+@example((GridState(3, {0: 0, 4: 1, 8: 2}), Stage((Move(4, 5), Gate("cz", (), (0, 8)))), 9.0), 1)
+@example((GridState(2, {0: 0, 3: 1}), Stage((Gate("h", (), (3,)), Move(0, 1))), 0.0), None)
+def test_advance_matches_the_reference(case, stage_index):
+    state, stage, radius = case
+    expected = _reference(state, stage, radius)
+    occupancy = dict(state.occupancy)
+    if not expected.legal:
+        with pytest.raises(IllegalStage) as caught:
+            advance(occupancy, state.side, stage, stage_index, radius)
+        assert caught.value.diagnosis == expected
+        assert caught.value.stage_index == stage_index
+        assert occupancy == state.occupancy
+        return
+    got = advance(occupancy, state.side, stage, stage_index, radius)
+    assert got == expected
+    if got == StageDiagnosis():
+        assert got is _LEGAL
+    after = dict(state.occupancy)
+    for op in stage.ops:
+        if isinstance(op, Move):
+            after[op.dst] = after.pop(op.src)
+    assert occupancy == after
+
+
 def test_legal_stages_share_one_empty_diagnosis():
     state = GridState(3, {0: 0, 4: 1, 8: 2})
     first = validate_stage(state, Stage((Gate("cz", (), (0, 4)), Move(8, 7))))
@@ -166,3 +200,23 @@ def test_an_illegal_stage_before_an_unconfigured_gate_is_reported_first():
     program = Program(1, 0, (Stage((Move(0, 1),)),) + _PROGRAM.stages)
     with pytest.raises(IllegalStage):
         trace_program(program, spec)
+
+
+def _one_stage(text):
+    return parse_program(f"RSQASM 1.0;\n{text}\n")
+
+
+def test_an_illegal_stage_is_reported_before_an_unconfigured_gate_in_it():
+    spec = dataclasses.replace(make_spec(n_qubits=2), gate_times={"cz": 0.2})
+    with pytest.raises(IllegalStage) as caught:
+        trace_program(_one_stage("h q[0];move q[5], q[6];"), spec)
+    assert caught.value.stage_index == 0
+    assert caught.value.diagnosis.violations == (
+        Violation(ViolationKind.MOVE_FROM_EMPTY_CELL, 1, 5),
+    )
+
+
+def test_a_legal_stage_reports_its_unconfigured_gate():
+    spec = dataclasses.replace(make_spec(n_qubits=2), gate_times={"cz": 0.2})
+    with pytest.raises(UnknownGate, match="^no duration configured for gate 'h'$"):
+        trace_program(_one_stage("h q[0];move q[1], q[6];"), spec)
