@@ -174,16 +174,20 @@ def _parse_qubits(value, path: str, reading: _Reading) -> tuple[QubitPlacement, 
     placements: dict[int, QubitPlacement] = {}
     seen_pos = set()
     for i, entry in enumerate(value):
-        at = f"{path}[{i}]"
-        q = QubitPlacement(**reading.object(_QUBIT_LAYOUT, entry, at, {}))
+        plain = type(entry) is dict and entry.keys() == _QUBIT_LAYOUT.keys()
+        if plain and type(entry["id"]) is type(entry["x"]) is type(entry["y"]) is int:
+            q = QubitPlacement(**entry)  # what the layout walk reads from it, read directly
+        else:
+            q = QubitPlacement(**reading.object(_QUBIT_LAYOUT, entry, f"{path}[{i}]", {}))
         if q.id < 0:
-            raise InvalidValue(f"qubit id must be nonnegative, got {q.id}", f"{at}.id")
+            raise InvalidValue(f"qubit id must be nonnegative, got {q.id}", f"{path}[{i}].id")
         if not (0 <= q.x < side and 0 <= q.y < side):
-            raise InvalidValue(f"position ({q.x}, {q.y}) outside the {side}x{side} grid", at)
+            message = f"position ({q.x}, {q.y}) outside the {side}x{side} grid"
+            raise InvalidValue(message, f"{path}[{i}]")
         if q.id in placements:
-            raise InvalidValue(f"duplicate qubit id {q.id}", f"{at}.id")
+            raise InvalidValue(f"duplicate qubit id {q.id}", f"{path}[{i}].id")
         if (q.x, q.y) in seen_pos:
-            raise InvalidValue(f"duplicate qubit position ({q.x}, {q.y})", at)
+            raise InvalidValue(f"duplicate qubit position ({q.x}, {q.y})", f"{path}[{i}]")
         seen_pos.add((q.x, q.y))
         placements[q.id] = q
     return tuple(placements.values())

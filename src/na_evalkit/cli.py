@@ -165,8 +165,8 @@ def cmd_normalize(args) -> int:
     program, spec = _load_program(args.circuit), _load_arch(args.arch)
     collapsed, rep = normalize.collapse(program, spec)
     if args.emit:
-        with open(args.emit, "wb") as fh:  # canonical LF text on every platform
-            fh.write(serialize_program(collapsed).encode("utf-8"))
+        with open(args.emit, "w", encoding="utf-8", newline="\n") as fh:  # LF on every platform
+            fh.write(serialize_program(collapsed))
     fields = _fields(rep, _NORMALIZE_COLUMNS)
     row = {**fields, "rewrites": len(rep.rewrites_applied)}
     report = {

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -86,7 +87,7 @@ class NormalizationReport:
         require_finite(self)
 
 
-def _move_stats(stages: list[list[Instruction]], side: int) -> tuple[int, float]:
+def _move_stats(stages: list[Sequence[Instruction]], side: int) -> tuple[int, float]:
     """Move count and total distance, each stage's moves summed first and the
     stage sums then added in order, as :func:`evaluator.trace_program` does."""
     count = 0
@@ -114,7 +115,7 @@ def _rule(move: Move, partner: Move) -> str:
     return "R1" if partner.dst == move.src else "R2"
 
 
-def _find_partner(stages: list[list[Instruction]], i: int, a: int, b: int):
+def _find_partner(stages: list[Sequence[Instruction]], i: int, a: int, b: int):
     """Where the search for the partner of ``move a->b`` at stage i stops.
 
     Returns (j, partner, clash) for the first later stage j that touches a or
@@ -139,9 +140,13 @@ def _find_partner(stages: list[list[Instruction]], i: int, a: int, b: int):
 
 
 class _Pass:
-    """One resumable R1/R2 scan over ``work``, edited in place."""
+    """One resumable R1/R2 scan over ``work``, edited in place.
 
-    def __init__(self, work: list[list[Instruction]]):
+    ``work`` starts as the program's own stage tuples; a stage becomes a list
+    the first time a commit edits it, so a run with no rewrite copies nothing.
+    """
+
+    def __init__(self, work: list[Sequence[Instruction]]):
         self.work = work
         self.events: list[RewriteEvent] = []
         self.dropped: list[int] = []  # sorted indices of emptied stages
@@ -153,6 +158,8 @@ class _Pass:
         queued: set[tuple[int, int]] = set()
         waiting: dict[int, list[tuple[int, int]]] = {}  # stage -> moves whose search stopped there
         for i, ops in enumerate(work):
+            # a commit may replace ``ops`` by an edited list; the heap loop
+            # below reads each position from ``work`` again
             for oi, op in enumerate(ops):
                 if not isinstance(op, Move):
                     continue
@@ -197,9 +204,12 @@ class _Pass:
         partner = work[j][oj]
         rule = _rule(move, partner)
         self.events.append(RewriteEvent(rule, (self._at(i), self._at(j))))
+        for k in (i, j):
+            if k not in self.edited:  # copy a stage on its first edit
+                self.edited.add(k)
+                work[k] = list(work[k])
         work[i][oi] = _REMOVED
         work[j][oj] = _REMOVED if rule == "R1" else Move(move.src, partner.dst)
-        self.edited.update((i, j))
         for k in (i, j):
             if all(op is _REMOVED for op in work[k]):
                 insort(self.dropped, k)
@@ -208,8 +218,8 @@ class _Pass:
         """The rewritten program; stages never edited are reused as they are."""
         stages = []
         for k, ops in enumerate(self.work):
-            if k not in self.edited:
-                stages.append(original.stages[k])
+            if k not in self.edited:  # still the input's own Stage
+                stages.append(ops)
                 continue
             kept = tuple(op for op in ops if op is not _REMOVED)
             if kept:
@@ -228,7 +238,7 @@ def collapse(program: Program, spec: ArchitectureSpec) -> tuple[Program, Normali
     grid.simulate(grid.initial_state(spec), program)
     side = spec.grid_side
 
-    work = [list(stage) for stage in program.stages]
+    work = list(program.stages)
     moves_before, distance_before = _move_stats(work, side)
     rewrite = _Pass(work)
     rewrite.run()

@@ -30,7 +30,11 @@ cell an ``int``, so every record serializes to text that parses back to it.
 A stage line in the canonical form that ``serialize_program`` writes takes a
 faster path with the same outcome: one match call (a ``findall``) reads the
 whole line, and the records are built from its groups. Every other line, and
-every error, goes through the general grammar.
+every error, goes through the general grammar. Within one ``parse_program``
+call that path builds each cell ``int``, gate name, one-cell operand tuple
+and one-qubit gate without an angle once, and records equal in value share
+it (the flyweight pattern): records from one parse may be one shared object,
+so never rely on ``is`` between them. Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -308,33 +312,59 @@ def _parse_stage_line(text: str, line: int) -> Stage:
         raise RsqasmSyntaxError("cell index has too many digits", line, column) from None
 
 
-def _canonical_stage(line: str) -> Stage | None:
+class _Cells(dict):
+    """A cell's digits to its one-cell operand tuple, whose item is the cell's ``int``."""
+
+    __slots__ = ()
+
+    def __missing__(self, digits: str) -> tuple[int]:
+        operands = self[digits] = (int(digits),)
+        return operands
+
+
+def _shared() -> tuple:
+    """The flyweights of one parse: the operand tuples of ``_Cells``; the
+    gate names of the pattern's groups, mapped to this module's strings; and
+    for each one-qubit gate name without an angle, its records by cell digits."""
+    names = {name: name for name in NATIVE_GATES}
+    by_cell = {name: {} for name in NATIVE_GATES - ONE_PARAM_GATES - TWO_QUBIT_GATES}
+    return _Cells(), names, by_cell
+
+
+def _canonical_stage(line: str, shared: tuple | None = None) -> Stage | None:
     """The stage of a line in the form serialize_program writes, or None.
 
     One findall reads the line. The records are built without their
     constructors, after checking every rule those check that the pattern does
     not: a finite angle and distinct cells. Any doubt gives None and leaves the
-    line, and any error in it, to _parse_stage_line.
+    line, and any error in it, to _parse_stage_line. Equal cells, names and
+    one-qubit records are one object across the lines read with one
+    ``shared``; without it, across this line only.
     """
+    single, names, by_cell = shared or _shared()
     new = tuple.__new__
     ops = []
     cells: list[int] = []
     for two, a2, b2, rot, angle, ar, one, a1, src, dst, rest in _CANONICAL_OP_RE.findall(line):
         if one:
-            operands = (int(a1),)
-            ops.append(new(Gate, (one, (), operands)))
+            gates = by_cell[one]
+            op = gates.get(a1)
+            if op is None:  # built once per name and cell
+                op = gates[a1] = new(Gate, (one, (), single[a1]))
+            ops.append(op)
+            operands = op[2]
         elif src:  # src == dst fails the disjointness check below
-            operands = (int(src), int(dst))
+            operands = (single[src][0], single[dst][0])
             ops.append(new(Move, operands))
         elif two:
-            operands = (int(a2), int(b2))
-            ops.append(new(Gate, (two, (), operands)))
+            operands = (single[a2][0], single[b2][0])
+            ops.append(new(Gate, (names[two], (), operands)))
         elif rot:
             params = (float(angle),)
             if not math.isfinite(params[0]):
                 return None
-            operands = (int(ar),)
-            ops.append(new(Gate, (rot, params, operands)))
+            operands = single[ar]
+            ops.append(new(Gate, (names[rot], params, operands)))
         else:  # the rest of a line that is not canonical
             return None
         cells += operands
@@ -357,9 +387,17 @@ def parse_program(document: str | bytes | bytearray | memoryview) -> Program:
         except UnicodeDecodeError as exc:
             raise RsqasmSyntaxError(f"document is not valid UTF-8: {exc}") from None
 
+    # the lines last to first, so that each is freed once it is read, and a
+    # decoded copy of the document is held no longer than its lines need it
+    lines = document.split("\n")[::-1]
+    del document
     header: Program | None = None
     stages: list[Stage] = []
-    for line_no, raw in enumerate(document.split("\n"), start=1):
+    shared = _shared()
+    line_no = 0
+    while lines:
+        raw = lines.pop()
+        line_no += 1
         line = raw.rstrip("\r")
         text = line.lstrip(" \t")
         if not text or text.startswith("//"):  # a blank or comment line
@@ -376,7 +414,7 @@ def parse_program(document: str | bytes | bytearray | memoryview) -> Program:
                 raise UnsupportedVersion("version number has too many digits", line_no, 1) from None
             header = _located(line_no, 1, Program, major, minor)
             continue
-        stages.append(_canonical_stage(line) or _parse_stage_line(line, line_no))
+        stages.append(_canonical_stage(line, shared) or _parse_stage_line(line, line_no))
     if header is None:
         raise MissingHeader("document has no header line")
     return Program(header.version_major, header.version_minor, tuple(stages))

@@ -191,6 +191,29 @@ def test_every_single_edit_gives_the_same_outcome(excitement):
     assert count > 800
 
 
+@pytest.mark.parametrize("entry", [
+    {"id": 2, "x": 0, "y": 1},
+    {"y": 1, "x": 0, "id": 2},
+    {"id": True, "x": 0, "y": 1},
+    {"id": 2, "x": 1.0, "y": 1},
+    {"id": 2, "x": 0, "y": 10**400},
+    {"id": 2, "x": 0},
+    {"id": 2, "x": 0, "y": 1, "z": 2},
+    {"id": -1, "x": 0, "y": 1},
+    {"id": 1, "x": 0, "y": 1},
+    {"id": 2, "x": 1, "y": 0},
+    {"id": 2, "x": 3, "y": 0},
+    [2, 0, 1],
+])
+def test_each_qubit_entry_gives_the_reference_outcome(entry):
+    """A plain entry of three ints is read directly, any other by the layout
+    walk; either way the spec, the message, its path and the warnings agree."""
+    doc = _base()
+    doc["parameters"]["Qubits"].append(entry)  # after two plain entries
+    expected, got = _outcomes(json.dumps(doc))
+    assert got == expected
+
+
 @settings(max_examples=400, deadline=None)
 @given(_edited_documents())
 @example(_decoherence(0, "x"))

@@ -207,6 +207,27 @@ def test_revived_candidate_is_committed():
     assert (collapsed, report) == collapse_reference.collapse(program, spec)
 
 
+def test_a_stage_edited_twice_keeps_both_edits():
+    # R2 (0, 1) merges 0 -> 1 -> 2 into stage 1, which is copied on that
+    # first edit; R1 then removes the merged move with 2 -> 0 from the same
+    # copy. Stage 3 is never edited and stays the input's own record.
+    spec = make_spec(side=4, cells=[0, 5, 7])
+    program = parse_program(
+        "RSQASM 1.0;\n"
+        "move q[0], q[1];\n"
+        "move q[1], q[2];h q[5];move q[7], q[8];\n"
+        "move q[2], q[0];\n"
+        "h q[8];\n"
+    )
+    collapsed, report = collapse(program, spec)
+    assert [(e.rule, e.stages) for e in report.rewrites_applied] == [
+        ("R2", (0, 1)), ("R1", (0, 1)),
+    ]
+    assert serialize_program(collapsed) == "RSQASM 1.0;\nh q[5];move q[7], q[8];\nh q[8];\n"
+    assert collapsed.stages[1] is program.stages[3]
+    assert (collapsed, report) == collapse_reference.collapse(program, spec)
+
+
 def test_collapse_simulates_once(monkeypatch):
     spec = make_spec(side=8, cells=list(range(0, 64, 3)))
     program = random_program_with_redundancy(random.Random(7), spec, patterns=40)
