@@ -184,19 +184,17 @@ def cmd_normalize(args) -> int:
 def cmd_compare(args) -> int:
     spec = _load_arch(args.arch)
     rows = []
-    failed = False
     for path in args.circuits:
         try:
             program = _load_program(path)
             breakdown = evaluate_model(program, spec, args.model)
             rows.append({"circuit": path, **_fields(breakdown, _METRIC_COLUMNS), "error": None})
         except EvalKitError as exc:
-            failed = True
             rows.append({"circuit": path, "error": f"{exc.code}: {exc}"})
     report = {"model": args.model, "architecture": args.arch, "rows": rows}
     columns = [("circuit", "str")] + _METRIC_COLUMNS + [("error", "str")]
     _emit(report, columns, rows, args.format)
-    return 2 if failed else 0
+    return 2 if any(row["error"] for row in rows) else 0
 
 
 def cmd_whatif(args) -> int:

@@ -90,12 +90,6 @@ def initial_state(spec: ArchitectureSpec) -> GridState:
     return GridState(side, {q.y * side + q.x: q.id for q in spec.qubits})
 
 
-def cell_coords(cell: int, side: int) -> tuple[int, int]:
-    if not 0 <= cell < side * side:
-        raise CellOutOfRange(f"cell {cell} outside a {side}x{side} grid")
-    return cell % side, cell // side
-
-
 def cell_distance(a: int, b: int, side: int) -> float:
     """Euclidean distance between two cells, in cell units.
 
@@ -105,8 +99,8 @@ def cell_distance(a: int, b: int, side: int) -> float:
     """
     limit = side * side
     if not (0 <= a < limit and 0 <= b < limit):
-        cell_coords(a, side)
-        cell_coords(b, side)
+        cell = b if 0 <= a < limit else a
+        raise CellOutOfRange(f"cell {cell} outside a {side}x{side} grid")
     ya, xa = divmod(a, side)
     yb, xb = divmod(b, side)
     try:

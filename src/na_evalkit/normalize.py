@@ -143,14 +143,14 @@ class _Pass:
     """One resumable R1/R2 scan over ``work``, edited in place.
 
     ``work`` starts as the program's own stage tuples; a stage becomes a list
-    the first time a commit edits it, so a run with no rewrite copies nothing.
+    the first time a commit edits it, so a run with no rewrite copies nothing,
+    and a list marks an edited stage.
     """
 
     def __init__(self, work: list[Sequence[Instruction]]):
         self.work = work
         self.events: list[RewriteEvent] = []
         self.dropped: list[int] = []  # sorted indices of emptied stages
-        self.edited: set[int] = set()
 
     def run(self):
         work = self.work
@@ -205,8 +205,7 @@ class _Pass:
         rule = _rule(move, partner)
         self.events.append(RewriteEvent(rule, (self._at(i), self._at(j))))
         for k in (i, j):
-            if k not in self.edited:  # copy a stage on its first edit
-                self.edited.add(k)
+            if type(work[k]) is not list:  # copy a stage on its first edit
                 work[k] = list(work[k])
         work[i][oi] = _REMOVED
         work[j][oj] = _REMOVED if rule == "R1" else Move(move.src, partner.dst)
@@ -218,7 +217,7 @@ class _Pass:
         """The rewritten program; stages never edited are reused as they are."""
         stages = []
         for k, ops in enumerate(self.work):
-            if k not in self.edited:  # still the input's own Stage
+            if type(ops) is not list:  # still the input's own Stage
                 stages.append(ops)
                 continue
             kept = tuple(op for op in ops if op is not _REMOVED)

@@ -205,10 +205,10 @@ class Program:
 
 _HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;[ \t]*$", re.ASCII)
 
-# One instruction and the blanks after it, with its first two cell indices and
-# any ``more`` operands. Every part after the name may match empty, so the pattern
-# matches anywhere but at the end of the line: the first required part that is
-# empty names the diagnostic, and its position the column.
+# One instruction and the blanks after it, its operands as one group. Every part
+# after the name may match empty, so the pattern matches anywhere but at the end
+# of the line: the first required part that is empty names the diagnostic, and
+# its position the column.
 _OPERAND = r"q[ \t]*\[[ \t]*\d+[ \t]*\]"
 ANGLE_LITERAL = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"  # match with re.ASCII
 _INSTRUCTION_RE = re.compile(
@@ -216,9 +216,7 @@ _INSTRUCTION_RE = re.compile(
     (?:(?P<open>\()[ \t]*
         (?P<angle>{ANGLE_LITERAL}|)[ \t]*
         (?P<close>\)|)[ \t]*)?
-    (?P<operands>q[ \t]*\[[ \t]*(?P<a>\d+)[ \t]*\]
-        (?:[ \t]*,[ \t]*q[ \t]*\[[ \t]*(?P<b>\d+)[ \t]*\]
-            (?P<more>(?:[ \t]*,[ \t]*{_OPERAND})*))?|)[ \t]*
+    (?P<operands>{_OPERAND}(?:[ \t]*,[ \t]*{_OPERAND})*|)[ \t]*
     (?P<comma>,|)[ \t]*
     (?P<end>;|)[ \t]*""",
     re.ASCII | re.VERBOSE,
@@ -268,7 +266,7 @@ def _parse_stage_line(text: str, line: int) -> Stage:
     ops: list[Instruction] = []
     try:
         for m in _INSTRUCTION_RE.finditer(text):
-            name, opened, angle, close, operands, a, b, more, comma, end = m.groups()
+            name, opened, angle, close, operands, comma, end = m.groups()
             if name == MOVE_NAME:
                 if opened:
                     raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("open") + 1)
@@ -284,9 +282,7 @@ def _parse_stage_line(text: str, line: int) -> Stage:
                     raise _expected("')'", m, "close", line)
             if not operands:  # the first operand is malformed
                 raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("operands") + 1)
-            cells = (int(a),) if b is None else (int(a), int(b))
-            if more:  # only an arity error has more than two operands
-                cells = tuple(map(int, _CELL_RE.findall(operands)))
+            cells = tuple(map(int, _CELL_RE.findall(operands)))
             if comma:  # the operand after a comma is malformed
                 raise RsqasmSyntaxError(_OPERAND_FORM, line, m.start("end") + 1)
             if not end:
@@ -331,7 +327,7 @@ def _shared() -> tuple:
     return _Cells(), names, by_cell
 
 
-def _canonical_stage(line: str, shared: tuple | None = None) -> Stage | None:
+def _canonical_stage(line: str, shared: tuple) -> Stage | None:
     """The stage of a line in the form serialize_program writes, or None.
 
     One findall reads the line. The records are built without their
@@ -339,9 +335,9 @@ def _canonical_stage(line: str, shared: tuple | None = None) -> Stage | None:
     not: a finite angle and distinct cells. Any doubt gives None and leaves the
     line, and any error in it, to _parse_stage_line. Equal cells, names and
     one-qubit records are one object across the lines read with one
-    ``shared``; without it, across this line only.
+    ``shared``, the :func:`_shared` memo of one parse.
     """
-    single, names, by_cell = shared or _shared()
+    single, names, by_cell = shared
     new = tuple.__new__
     ops = []
     cells: list[int] = []

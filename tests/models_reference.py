@@ -3,9 +3,14 @@
 These are the original bodies of :func:`na_evalkit.evaluate_unified`,
 :func:`~na_evalkit.evaluate_hybridmapper`, :func:`~na_evalkit.evaluate_dasatom`
 and :func:`~na_evalkit.evaluate_enola`, kept verbatim as an oracle for the one
-evaluator that now reads a table of assumptions. The single edit: DasAtom
-counted ``trace.cz_gates``, a field equal to ``trace.two_qubit_gates`` because
-``cz`` is the only two-qubit gate, and it reads the latter here.
+evaluator that now reads a table of assumptions. Two edits:
+
+* DasAtom counted ``trace.cz_gates``, a field equal to
+  ``trace.two_qubit_gates`` because ``cz`` is the only two-qubit gate, and it
+  reads the latter here.
+* DasAtom added its distance ``D`` with the built-in ``sum()``, which
+  compensates rounding from Python 3.12 on. It adds ``D`` one stage at a time
+  here, a plain running sum in stage order, as the evaluator does.
 """
 
 from __future__ import annotations
@@ -81,9 +86,10 @@ def evaluate_dasatom(program: Program, spec: ArchitectureSpec) -> FidelityBreakd
 
     s = 2 * trace.move_count
     gate_stages = sum(1 for gate_us, _ in trace.stages if gate_us is not None)
-    d_um = sum(
-        cells * spec.inter_qubit_distance for _, cells in trace.stages if cells is not None
-    )
+    d_um = 0.0
+    for _, cells in trace.stages:
+        if cells is not None:
+            d_um += cells * spec.inter_qubit_distance
     t_total = gate_stages * t_cz + s * spec.aod_transfer_time + d_um / spec.move_speed
     t_idle = spec.qubit_count * t_total - trace.two_qubit_gates * t_cz
     return trace.breakdown(

@@ -155,7 +155,7 @@ def test_the_spy_sees_the_general_path():
     "h q[" + "9" * 5000 + "];",
 ])
 def test_the_fast_path_declines_and_the_general_path_decides(line):
-    assert _canonical_stage(line) is None
+    assert _canonical_stage(line, rsqasm._shared()) is None
     document = f"RSQASM 1.0;\n{line}\n"
     try:
         expected = reference.parse_program(document)
@@ -177,7 +177,7 @@ def test_the_fast_path_declines_and_the_general_path_decides(line):
     "ry(-0) q[999999999999999999];",
 ])
 def test_the_fast_path_takes_what_the_general_path_gives(line):
-    stage = _canonical_stage(line)
+    stage = _canonical_stage(line, rsqasm._shared())
     assert stage is not None
     assert repr(stage) == repr(rsqasm._parse_stage_line(line, 2))
 

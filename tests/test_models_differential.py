@@ -10,6 +10,8 @@ sums it is reduced by, is zero instead of a NegativeIdleTime.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -127,6 +129,43 @@ def test_models_match_the_reference_exactly():
     assert set(seen) == {
         "equal", "rounded to zero", "NegativeIdleTime", "CoherenceBudgetExceeded", "UnknownGate"
     }, seen
+
+
+def _compensated_sum(iterable, start=0):
+    """The built-in sum() of CPython 3.12 and later on ints and floats: ints
+    add exactly, and from the first float on, floats add with Neumaier's
+    compensation."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        if not (isinstance(total, int) and isinstance(item, int)):
+            break
+        total += item
+    else:
+        return total
+    total, compensation = float(total), 0.0
+    for item in itertools.chain([item], items):
+        item = float(item)
+        t = total + item
+        if abs(total) >= abs(item):
+            compensation += (total - t) + item
+        else:
+            compensation += (item - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_models_match_the_reference_under_a_compensated_sum(monkeypatch):
+    assert _compensated_sum([0.1] * 10) == 1.0 != sum([0.1] * 10)
+    assert _compensated_sum([2**60, 1, -(2**60)]) == 1
+    for module in (reference, models, evaluator):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    for program, spec in _cases(seed=2026, count=400):
+        for model in Model:
+            ref = _outcome(reference.MODELS[model], program, spec)
+            _compare(_outcome(evaluate_model, program, spec, model), ref, spec)
 
 
 @pytest.mark.parametrize("model", list(Model))

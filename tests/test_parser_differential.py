@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import rsqasm_reference as reference
 from na_evalkit import Gate, Move, Program, Stage, parse_flat_qasm, parse_program
 from na_evalkit.errors import EvalKitError, MissingHeader, RsqasmError, RsqasmSyntaxError
-from na_evalkit.rsqasm import _canonical_stage, _parse_stage_line, serialize_program
+from na_evalkit.rsqasm import _canonical_stage, _parse_stage_line, _shared, serialize_program
 
 _INSIDE_OPERAND = ("expected '['", "expected a nonnegative cell index", "expected ']'")
 _OPERAND_FORM = "expected operand of the form q[<uint>]"
@@ -157,8 +157,9 @@ def test_drawn_programs_parse_equally(case):
 @given(_PROGRAMS)
 def test_canonical_stage_equals_the_general_parse(program):
     lines = serialize_program(program).split("\n")[1:-1]
+    shared = _shared()
     for number, line in enumerate(lines, start=2):
-        assert _canonical_stage(line) == _parse_stage_line(line, number), line
+        assert _canonical_stage(line, shared) == _parse_stage_line(line, number), line
 
 
 # --- mutated documents and random text ---------------------------------------
@@ -193,6 +194,7 @@ def _mutated_documents(draw):
 @example("RSQASM 1.0;\nmove(0.5) q[0], q[1];\n")
 @example("RSQASM 1.0;\nh q[٣];\n")
 @example("RSQASM 1.0;\nh q[0], q[" + "9" * 5000 + "];\n")
+@example("RSQASM 1.0;\ncz q[0], q[1], q[" + "9" * 5000 + "];\n")
 @example("\u3000RSQASM 1.0;\nh q[0];\n")
 @example("RSQASM 1.0;\n\x0c\nh q[0];\n")
 @example("RSQASM 1.0;\n\u3000// c\n")
