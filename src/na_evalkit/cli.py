@@ -8,6 +8,11 @@ dataclass, in field order. Table mode renders fidelities as percentages with
 two decimals (half-to-even), and magnitudes from 1e16 on in scientific
 notation; json and csv carry full precision. Set NA_EVALKIT_COLOR=always|never|auto
 to control ANSI styling of table headers.
+
+Each command runs with Python's cyclic garbage collector paused: its records
+are acyclic tuples that reference counting frees, so the collector would only
+walk them again and again. ``main`` restores the caller's setting when the
+command returns or raises.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -290,6 +296,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except EvalKitError as exc:
@@ -298,6 +306,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -115,11 +115,13 @@ def random_stage(
 
 
 def random_legal_program(
-    rng: random.Random, spec: ArchitectureSpec, max_stages: int = 10
+    rng: random.Random, spec: ArchitectureSpec, max_stages: int = 10, min_stages: int = 0
 ) -> Program:
+    """Up to ``rng.randint(min_stages, max_stages)`` stages: a draw that finds no
+    legal instruction adds none."""
     state = initial_state(spec)
     stages = []
-    for _ in range(rng.randint(0, max_stages)):
+    for _ in range(rng.randint(min_stages, max_stages)):
         stage = random_stage(rng, state)
         if stage is None:
             continue

@@ -1,14 +1,27 @@
+import contextlib
 import dataclasses
+import gc
 import json
 import math
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from na_evalkit import FidelityBreakdown, NormalizationReport, WhatIfResult
-from na_evalkit.cli import _columns, _fmt_cell, _render_table, main
-from helpers import GOLDEN_TEXT, arch_document
+from na_evalkit import (
+    FidelityBreakdown,
+    NormalizationReport,
+    WhatIfResult,
+    cli,
+    parse_architecture,
+    serialize_program,
+)
+from na_evalkit.cli import _columns, _fmt_cell, _render_table, build_parser, main
+from helpers import GOLDEN_TEXT, arch_document, random_legal_program
+
+GOLDEN = Path(__file__).parent / "golden"
 
 NESTED_TEXT = (
     "RSQASM 1.0;\n"
@@ -467,3 +480,144 @@ def test_unknown_key_warnings_come_object_by_object_not_in_text_order(files, tmp
     assert sorted(keys, key=text.index) == ['"colour"', '"t3"', '"futureTop"']
     assert main(["validate", files["circuit"], arch]) == 0
     assert capsys.readouterr().err.splitlines() == _UNKNOWN_KEY_LINES
+
+# --- the cyclic collector -----------------------------------------------------
+
+
+def _commands(folder: Path, emitted: Path) -> dict[str, list[str]]:
+    """The commands run on the circuit and hardware files of one case folder."""
+    circuit, arch = str(folder / "circuit.rsqasm"), str(folder / "arch.json")
+    return {
+        "validate": ["validate", circuit, arch],
+        "normalize": ["normalize", circuit, arch, "--emit", str(emitted)],
+        "compare": ["compare", circuit, circuit, "--arch", arch],
+        **{
+            f"evaluate-{fmt}": ["evaluate", circuit, arch, "--format", fmt]
+            for fmt in ("table", "json", "csv")
+        },
+    }
+
+
+@contextlib.contextmanager
+def _collections():
+    """The generation of each collection that starts inside the block, where
+    any container allocation may start one."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    thresholds = gc.get_threshold()
+    gc.set_threshold(1)
+    gc.callbacks.append(count)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+
+
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    was_enabled = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate-json", "normalize", "compare"])
+def test_a_command_body_runs_no_collection(command, tmp_path, monkeypatch, capsys):
+    argv = _commands(GOLDEN / "dense", tmp_path / "emitted.rsqasm")[command]
+    name = f"cmd_{argv[0]}"
+    body = getattr(cli, name)
+    seen = []
+
+    def counted(args):
+        with _collections() as started:
+            seen.append(started)
+            return body(args)
+
+    monkeypatch.setattr(cli, name, counted)
+    assert main(argv) == 0
+    assert seen == [[]]
+    assert gc.isenabled()
+
+
+def _exit_cases(files) -> dict[str, tuple[list[str], int]]:
+    circuit, arch = files["circuit"], files["arch"]
+    return {
+        "ok": (["validate", circuit, arch], 0),
+        "missing file": (["validate", str(files["dir"] / "nope.rsqasm"), arch], 1),
+        "domain error": (["validate", circuit, arch, "--interaction-radius", "-1"], 2),
+        "usage error": (["evaluate", "only-one-arg"], 1),
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", ["ok", "missing file", "domain error", "usage error"])
+def test_main_leaves_the_collector_as_the_caller_set_it(case, enabled, files, capsys):
+    argv, code = _exit_cases(files)[case]
+    with _collector(enabled):
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_an_unexpected_error_propagates_and_restores_the_collector(enabled, files, monkeypatch):
+    def broken(args):
+        assert not gc.isenabled()
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    with _collector(enabled):
+        with pytest.raises(RuntimeError, match="broken command"):
+            main(["validate", files["circuit"], files["arch"]])
+        assert gc.isenabled() is enabled
+
+
+def _garbage_left(argv: list[str]) -> int:
+    """What ``gc.collect()`` finds after one command body, run paused as ``main``
+    runs it; the parser's own cycles stay alive until the count is taken."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    gc.collect()
+    with _collector(False):
+        assert args.func(args) == 0
+        return gc.collect()
+
+
+@pytest.fixture(scope="module")
+def drawn_case(tmp_path_factory):
+    """A legal program of about 2000 stages drawn on a 20x20 grid of 100 atoms."""
+    folder = tmp_path_factory.mktemp("drawn")
+    document = arch_document(side=20, n_qubits=100)
+    program = random_legal_program(
+        random.Random(26), parse_architecture(document), max_stages=2000, min_stages=2000
+    )
+    assert len(program.stages) > 1900
+    (folder / "arch.json").write_text(document)
+    (folder / "circuit.rsqasm").write_text(serialize_program(program))
+    return folder
+
+
+@pytest.mark.parametrize("command", list(_commands(GOLDEN, GOLDEN)))
+def test_garbage_left_for_the_collector_does_not_grow_with_the_circuit(
+    command, drawn_case, tmp_path, capsys
+):
+    # records that held a back-reference would leave garbage in step with the
+    # circuit's size, which the paused collector would never free
+    emitted = tmp_path / "emitted.rsqasm"
+    found = [
+        _garbage_left(_commands(folder, emitted)[command])
+        for folder in (GOLDEN / "table1", GOLDEN / "dense", drawn_case)
+    ]
+    assert found == [found[0]] * 3
