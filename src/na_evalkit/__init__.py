@@ -4,6 +4,9 @@ Parses a unified JSON hardware description and a stage-based circuit text
 format, simulates grid occupancy, computes fidelity breakdowns under a
 unified model and under three earlier compilers' cost models, and collapses
 redundant shuttling patterns.
+
+The flat-QASM adapter's five names load :mod:`na_evalkit.ingest` on first
+access, since no command uses it.
 """
 
 from .arch import (
@@ -21,7 +24,6 @@ from .evaluator import (
     trace_program,
 )
 from .grid import GridState, StageDiagnosis, apply_stage, cell_distance, initial_state, simulate, validate_stage
-from .ingest import FlatBarrier, FlatCircuit, FlatGate, parse_flat_qasm, to_rsqasm
 from .models import (
     Model,
     WhatIfInput,
@@ -81,3 +83,16 @@ __all__ = [
     "to_rsqasm",
     "__version__",
 ]
+
+_INGEST = frozenset({"FlatBarrier", "FlatCircuit", "FlatGate", "parse_flat_qasm", "to_rsqasm"})
+
+
+def __getattr__(name: str):
+    if name in _INGEST:
+        from . import ingest
+        return getattr(ingest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _INGEST)

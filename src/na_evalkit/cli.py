@@ -7,7 +7,8 @@ illegal stage. A report's table and csv columns are the scalar fields of its
 dataclass, in field order. Table mode renders fidelities as percentages with
 two decimals (half-to-even), and magnitudes from 1e16 on in scientific
 notation; json and csv carry full precision. Set NA_EVALKIT_COLOR=always|never|auto
-to control ANSI styling of table headers.
+to control ANSI styling of table headers. ``normalize --emit`` writes the
+collapsed circuit a few stage lines at a time, and only csv output imports ``csv``.
 
 Each command runs with Python's cyclic garbage collector paused: its records
 are acyclic tuples that reference counting frees, so the collector would only
@@ -18,7 +19,6 @@ command returns or raises.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import gc
 import io
@@ -94,6 +94,7 @@ def _render_table(columns: list[tuple[str, str]], rows: list[dict]) -> str:
 
 
 def _render_csv(columns: list[tuple[str, str]], rows: list[dict]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([name for name, _ in columns])
@@ -172,7 +173,7 @@ def cmd_normalize(args) -> int:
     collapsed, rep = normalize.collapse(program, spec)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8", newline="\n") as fh:  # LF on every platform
-            fh.write(serialize_program(collapsed))
+            serialize_program(collapsed, fh)
     fields = _fields(rep, _NORMALIZE_COLUMNS)
     row = {**fields, "rewrites": len(rep.rewrites_applied)}
     report = {

@@ -79,11 +79,12 @@ class ProgramTrace:
     :func:`trace_program` fills it in a single pass that checks each stage
     once. ``stages`` holds, per stage, the longest gate duration (us) and
     the longest move distance (cells), each None when the stage has no such
-    operation. Sums and the product run in program order: ``gate_time_us``
-    and ``f_gates`` over gates, ``move_distance_cells`` over stages of
-    per-stage sums. ``busy_us`` is the time each atom spent inside gates: a
-    two-qubit gate counts its full duration toward both participants, and
-    movement never counts.
+    operation; equal pairs are one shared tuple, so never rely on ``is``
+    between them. Sums and the product run in program order:
+    ``gate_time_us`` and ``f_gates`` over gates, ``move_distance_cells`` over
+    stages of per-stage sums. ``busy_us`` is the time each atom spent inside
+    gates: a two-qubit gate counts its full duration toward both
+    participants, and movement never counts.
 
     It is the one record of per-stage and per-atom facts: the stage shape is
     the None pattern of ``stages``, and a model's per-stage durations come
@@ -158,6 +159,7 @@ def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
     occupancy = grid.initial_state(spec).occupancy
     busy = {q.id: 0.0 for q in spec.qubits}
     stages: list[tuple[float | None, float | None]] = []
+    pairs: dict[tuple, tuple] = {}  # each distinct stage pair, built once per call
     g1 = g2 = move_count = 0
     gate_time = move_distance = 0.0
     f_gates = 1.0
@@ -194,7 +196,8 @@ def trace_program(program: Program, spec: ArchitectureSpec) -> ProgramTrace:
                 g1 += 1
                 busy[occupancy[operands[0]]] += duration
         move_distance += stage_distance
-        stages.append((longest_gate, longest_move))
+        pair = (longest_gate, longest_move)
+        stages.append(pairs.setdefault(pair, pair))
     return ProgramTrace(
         stages=tuple(stages),
         one_qubit_gates=g1,

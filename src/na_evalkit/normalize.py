@@ -52,7 +52,6 @@ the empty stages dropped when it is recorded.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -62,8 +61,6 @@ from . import grid
 from .arch import ArchitectureSpec
 from .evaluator import require_finite
 from .rsqasm import Instruction, Move, Program, Stage
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,8 @@ class _Pass:
                     j, oj, clash = stop
                     if oj is None or clash:
                         if oj is not None:
-                            logger.info(
+                            import logging  # loaded only when a rewrite is skipped
+                            logging.getLogger(__name__).info(
                                 "skipping %s on stages (%d, %d): rewrite would break legality",
                                 _rule(move, work[j][oj]), self._at(s), self._at(j),
                             )

@@ -35,6 +35,8 @@ call that path builds each cell ``int``, gate name, one-cell operand tuple
 and one-qubit gate without an angle once, and records equal in value share
 it (the flyweight pattern): records from one parse may be one shared object,
 so never rely on ``is`` between them. Nothing is kept across calls.
+``serialize_program(program, out)`` writes the canonical text to a text
+stream a few stage lines at a time, so it never holds the whole text.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import TextIO
 
 from .errors import (
     ArityError,
@@ -416,17 +420,29 @@ def parse_program(document: str | bytes | bytearray | memoryview) -> Program:
     return Program(header.version_major, header.version_minor, tuple(stages))
 
 
-def serialize_program(program: Program) -> str:
-    """Render a program in canonical form.
+def serialize_program(program: Program, out: TextIO | None = None) -> str | None:
+    """Render a program in canonical form, as a string, or written to ``out``.
 
     One line per stage, instructions concatenated (each carries its own
     trailing ``;``), a single space after commas, LF line endings, and
     rotation angles printed with full round-trip precision. ``parse_program``
-    of the result reconstructs an equal :class:`Program`.
+    of the result reconstructs an equal :class:`Program`. Given a text stream
+    ``out``, it writes the same text there a few stage lines at a time and
+    returns None, so it never holds the whole text.
     """
-    lines = [f"RSQASM {program.version_major}.{program.version_minor};"]
+    pieces = _canonical_pieces(program)
+    if out is None:
+        return "".join(pieces)
+    out.writelines(pieces)
+    return None
+
+
+def _canonical_pieces(program: Program) -> Iterator[str]:
+    """The canonical text in pieces of whole lines, each ended at the first line
+    end once it holds 64 parts (instructions or line ends): well below the 8 KiB
+    that a ``TextIOWrapper`` writes without first encoding the whole piece."""
+    parts = [f"RSQASM {program.version_major}.{program.version_minor};\n"]
     for stage in program.stages:
-        parts = []
         for op in stage:
             if type(op) is Move:
                 parts.append(f"move q[{op[0]}], q[{op[1]}];")
@@ -437,5 +453,8 @@ def serialize_program(program: Program) -> str:
                 parts.append(f"{head} q[{cells[0]}], q[{cells[1]}];")
             else:
                 parts.append(f"{head} q[{cells[0]}];")
-        lines.append("".join(parts))
-    return "\n".join(lines) + "\n"
+        parts.append("\n")
+        if len(parts) >= 64:
+            yield "".join(parts)
+            parts = []
+    yield "".join(parts)

@@ -5,10 +5,12 @@ The fast path, ``_canonical_stage``, reads a line with one match call and
 builds a stage without the record constructors. It may only take a line or
 decline it: every line it declines, and every error, is decided by
 ``_parse_stage_line``, and so must match ``rsqasm_reference``. The serializer is compared with the per-instruction
-rendering it replaced, kept below verbatim as the oracle.
+rendering it replaced, kept below verbatim as the oracle, both as a string
+and written to a stream.
 """
 
 import gc
+import io
 import random
 import tracemalloc
 from pathlib import Path
@@ -92,19 +94,25 @@ def _assert_same_records(got: Program, expected: Program):
 
 # --- the serializer is byte-identical ----------------------------------------------
 
+def _streamed(program: Program) -> str:
+    out = io.StringIO()
+    assert serialize_program(program, out) is None
+    return out.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_PROGRAMS)
 @example(Program(1, 0, (Stage((Gate("rz", (-0.0,), (0,)), Gate("rx", (1e-300,), (1,)),
                                Gate("ry", (0.1,), (2,)), Move(3, 4), Gate("cz", (), (5, 6)))),)))
 def test_serializer_matches_the_per_instruction_rendering(program):
-    assert serialize_program(program) == reference_serialize_program(program)
+    assert serialize_program(program) == _streamed(program) == reference_serialize_program(program)
 
 
 @pytest.mark.parametrize("path", GOLDEN_CIRCUITS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_serializer_rewrites_the_golden_circuits(path):
     text = path.read_text(encoding="utf-8")
     program = parse_program(text)
-    assert serialize_program(program) == reference_serialize_program(program) == text
+    assert serialize_program(program) == _streamed(program) == reference_serialize_program(program) == text
 
 
 # --- the fast path is really taken -------------------------------------------------

@@ -293,6 +293,15 @@ def test_run_time_is_one_running_sum_on_the_golden_circuits(case, circuit):
     assert math.fsum(durations) != _running_sum(durations)
 
 
+@pytest.mark.parametrize("case", ["dense", "table1"])
+def test_equal_stage_pairs_are_one_tuple(case):
+    directory = Path(__file__).parent / "golden" / case
+    spec = parse_architecture((directory / "arch.json").read_bytes())
+    pairs = trace_program(parse_program((directory / "circuit.rsqasm").read_bytes()), spec).stages
+    assert len(set(pairs)) < len(pairs)  # the circuit repeats a pair
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
+
+
 def test_run_time_is_one_running_sum_on_seeded_programs():
     for seed in range(30):
         rng = random.Random(seed)
