@@ -29,7 +29,7 @@ import warnings
 
 from . import __version__, grid, normalize
 from .arch import ArchitectureSpec, parse_architecture
-from .errors import EvalKitError, IllegalStage
+from .errors import EvalKitError
 from .evaluator import FidelityBreakdown
 from .models import Model, WhatIfInput, WhatIfResult, evaluate_model, whatif_collapse
 from .rsqasm import Program, parse_program, serialize_program
@@ -137,24 +137,17 @@ def _fields(obj, columns: list[tuple[str, str]]) -> dict:
     return {name: getattr(obj, name) for name, _ in columns}
 
 
-def _print_warnings(index: int, diagnosis: grid.StageDiagnosis):
-    for warning in diagnosis.warnings:
-        print(f"warning: stage {index}: {warning}", file=sys.stderr)
-
-
 def cmd_validate(args) -> int:
     radius = args.interaction_radius
     grid.require_interaction_radius(radius)  # before any file is read
     program, spec = _load_program(args.circuit), _load_arch(args.arch)
-    occupancy = grid.initial_state(spec).occupancy
+    state = grid.initial_state(spec)
     for index, stage in enumerate(program.stages):
-        try:
-            diagnosis = grid.advance(occupancy, spec.grid_side, stage, index, radius)
-        except IllegalStage as exc:  # main prints its error line after its warnings
-            _print_warnings(index, exc.diagnosis)
-            raise
-        _print_warnings(index, diagnosis)
-    print(f"ok: {len(program.stages)} stage(s), {len(occupancy)} atom(s)")
+        if radius is not None:  # printed before advance raises, so before main's error line
+            for warning in grid.validate_stage(state, stage, radius).warnings:
+                print(f"warning: stage {index}: {warning}", file=sys.stderr)
+        grid.advance(state.occupancy, state.side, stage, index)
+    print(f"ok: {len(program.stages)} stage(s), {len(state.occupancy)} atom(s)")
     return 0
 
 

@@ -5,16 +5,14 @@ States are values: ``apply_stage`` and ``simulate`` copy the occupancy of
 their input once, run every stage on that private copy through
 :func:`advance`, and return a new state, so independent circuits can be
 processed concurrently. Only callers that own an occupancy map pass it to
-``advance`` directly; it builds no state per stage.
+``advance`` directly; it builds a state only for a stage it rejects.
 
-``advance`` accepts a legal stage in one loop: it passes over every
-instruction that cannot yield a violation or a warning, collects the moves,
-and applies them once the whole stage has passed. Every other stage, and
-every stage given to ``validate_stage``, goes unchanged to ``_check_stage``,
-the one diagnosis. A stage that yields nothing gets one shared legal
-diagnosis. An optional interaction radius only adds warnings;
-:func:`require_interaction_radius` is its one rule, which ``validate_stage``
-applies and a caller of ``advance`` applies once before its first stage.
+``advance`` checks a stage and moves its atoms: it passes over every legal
+instruction and applies the moves once the whole stage has passed. At the
+first instruction that is not legal it raises, with the diagnosis of
+:func:`validate_stage`, the grid's one diagnosis. Only ``validate_stage``
+reads an interaction radius, which only adds warnings;
+:func:`require_interaction_radius` is its one rule.
 """
 
 from __future__ import annotations
@@ -119,23 +117,18 @@ def require_interaction_radius(interaction_radius: float | None) -> None:
 def validate_stage(
     state: GridState, stage: Stage, interaction_radius: float | None = None
 ) -> StageDiagnosis:
-    """Check a stage against the occupancy at its start.
+    """Check a stage against the occupancy at its start, every instruction diagnosed.
 
     Legal iff every gate operand cell holds an atom, every move source
     holds an atom, every move target is an empty trap, and all cells are in
     range; a :class:`Stage` shares no cell between instructions by
     construction. When ``interaction_radius`` is given (cell units),
     two-qubit gates spanning a larger distance produce an advisory warning,
-    never a violation; a negative or NaN radius raises InvalidInput.
+    never a violation; a negative or NaN radius raises InvalidInput. A stage
+    that yields nothing gets one shared legal diagnosis.
     """
     require_interaction_radius(interaction_radius)
-    return _check_stage(state.occupancy, state.side, stage, interaction_radius)
-
-
-def _check_stage(
-    occupied: dict[int, int], side: int, stage: Stage, interaction_radius: float | None
-) -> StageDiagnosis:
-    """:func:`validate_stage` over a bare occupancy map: every instruction diagnosed."""
+    occupied, side = state.occupancy, state.side
     limit = side * side
     violations: list[Violation] = []
     warnings: list[str] = []
@@ -167,25 +160,19 @@ def _check_stage(
 
 
 def advance(
-    occupancy: dict[int, int],
-    side: int,
-    stage: Stage,
-    stage_index: int | None = None,
-    interaction_radius: float | None = None,
-) -> StageDiagnosis:
+    occupancy: dict[int, int], side: int, stage: Stage, stage_index: int | None = None
+) -> None:
     """Check a stage once and apply its moves to ``occupancy`` in place.
 
     Moves act simultaneously against the stage-start occupancy; since no
     two instructions of a stage share a cell, applying them one by one is
-    equivalent. Returns the diagnosis of a legal stage (its warnings may
-    be nonempty). Raises :class:`IllegalStage` carrying the diagnosis, with
-    ``occupancy`` untouched, when the stage is not legal. The radius is not
-    checked here, since every walk calls this once per stage; check it once
-    with :func:`require_interaction_radius` first.
+    equivalent. Returns None for a legal stage; otherwise raises
+    :class:`IllegalStage` carrying the diagnosis of :func:`validate_stage`,
+    with ``occupancy`` untouched. No radius is read here.
     """
     limit = side * side
     moves = []
-    for op in stage:  # accept what cannot yield a violation or a warning
+    for op in stage:
         if type(op) is Move:
             src, dst = op
             if src in occupancy and dst not in occupancy and src < limit and dst < limit:
@@ -194,21 +181,12 @@ def advance(
         else:
             operands = op[2]
             first, last = operands[0], operands[-1]  # a gate has one or two
-            if (
-                first in occupancy and last in occupancy and first < limit and last < limit
-                and (interaction_radius is None or len(operands) == 1)
-            ):
+            if first in occupancy and last in occupancy and first < limit and last < limit:
                 continue
-        diagnosis = _check_stage(occupancy, side, stage, interaction_radius)
-        if not diagnosis.legal:
-            raise IllegalStage(str(diagnosis), diagnosis, stage_index)
-        moves = [op for op in stage if type(op) is Move]
-        break
-    else:
-        diagnosis = _LEGAL
+        diagnosis = validate_stage(GridState(side, occupancy), stage)
+        raise IllegalStage(str(diagnosis), diagnosis, stage_index)
     for src, dst in moves:
         occupancy[dst] = occupancy.pop(src)
-    return diagnosis
 
 
 def apply_stage(state: GridState, stage: Stage, stage_index: int | None = None) -> GridState:

@@ -4,9 +4,10 @@ movement schedules.
 The toolchains disagree because they assume different things: how long a
 move travels, what idle time leaves out, which coherence time it decays
 over, which gates cost fidelity, and whether idle atoms pay for each
-stage's exposure. Each model is one row of ``_PRESETS``, and one evaluator
-reads any row over the one trace of a program. Unless a row decays atom by
-atom, its idle time, summed over all atoms, decays as ``exp(-t_idle/t_coh)``.
+stage's exposure. Each model is one row of ``_PRESETS``, which holds its
+run-time law with the rest, and one evaluator reads any row over the one
+trace of a program. Unless a row decays atom by atom, its idle time, summed
+over all atoms, decays as ``exp(-t_idle/t_coh)``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -52,12 +54,30 @@ def _published_enola_travel(distance_um: float, spec: ArchitectureSpec) -> float
     return distance_um / spec.move_speed**2
 
 
+def _travel_run_time(travel, trace: ProgramTrace, spec: ArchitectureSpec) -> float:
+    """The run time when a move takes its two transfers plus ``travel(distance_um, spec)``."""
+    d = spec.inter_qubit_distance
+    return trace.run_time_us(lambda cells: 2.0 * spec.aod_transfer_time + travel(cells * d, spec))
+
+
+def _dasatom_run_time(trace: ProgramTrace, spec: ArchitectureSpec) -> float:
+    """DasAtom's synthetic run time, from its row's law below."""
+    gate_stages = 0
+    d_um = 0.0  # a plain running sum, as in ProgramTrace.run_time_us
+    for gate_us, cells in trace.stages:
+        gate_stages += gate_us is not None
+        if cells is not None:
+            d_um += cells * spec.inter_qubit_distance
+    t_cz, s = gate_duration("cz", spec), 2 * trace.move_count
+    return gate_stages * t_cz + s * spec.aod_transfer_time + _linear_travel(d_um, spec)
+
+
 class _Preset(NamedTuple):
     """One toolchain's assumptions, a field per column of the README's table."""
 
-    # (distance_um, spec) -> travel time of a move after its two transfers,
-    # non-decreasing in the distance; None: DasAtom's synthetic run time
-    travel: Callable[[float, ArchitectureSpec], float] | None
+    # (trace, spec) -> run time in us; a travel law (distance_um, spec) -> us, bound
+    # by _travel_run_time, must be non-decreasing in the distance
+    run_time: Callable[[ProgramTrace, ArchitectureSpec], float]
     # what n*T leaves out: "gates", "gates+transfers" or "cz"; or "per-atom",
     # each atom q decaying over its own idle time T_q by prod(1 - T_q/t_coh)
     idle: str
@@ -66,27 +86,28 @@ class _Preset(NamedTuple):
     exposure: bool  # each stage costs every atom outside a cz excitement_fidelity
 
 
+_LINEAR = partial(_travel_run_time, _linear_travel)
 _PRESETS = {
     # The paper's model: idle time is n*T minus every gate once, over
     # t_eff = t1*t2/(t1 + t2). Moves stretch the run for all n atoms, so
     # shuttling costs decoherence; its direct cost is the transfers counted in
     # f_movements.
-    Model.UNIFIED: _Preset(_linear_travel, "gates", effective_coherence_time, False, False),
+    Model.UNIFIED: _Preset(_LINEAR, "gates", effective_coherence_time, False, False),
     # HybridMapper also counts both transfers of every move as operations and
     # takes 2*t_trans per move off idle time, so shuttling never lowers its
     # decoherence factor below the unified one; without moves the two agree.
-    Model.HYBRIDMAPPER: _Preset(
-        _linear_travel, "gates+transfers", effective_coherence_time, False, False
-    ),
+    Model.HYBRIDMAPPER: _Preset(_LINEAR, "gates+transfers", effective_coherence_time, False, False),
     # DasAtom runs for T = h*t_cz + s*t_trans + D/v: h gate-bearing stages,
     # s = 2*move_count transfers, and D the sum over stages of the longest
     # physical move distance, so parallel moves cost only their slowest member.
     # It idles n*T - m*t_cz with m cz gates and decays over the bare t2.
-    Model.DASATOM: _Preset(None, "cz", attrgetter("t2"), True, False),
+    Model.DASATOM: _Preset(_dasatom_run_time, "cz", attrgetter("t2"), True, False),
     # Enola times moves by d/v**2 as published (evaluate_enola's travel_time
     # substitutes a corrected law), decays atom by atom over t2, and charges
     # the n*S - 2*g2 exposures of S stages with g2 cz gates.
-    Model.ENOLA: _Preset(_published_enola_travel, "per-atom", attrgetter("t2"), True, True),
+    Model.ENOLA: _Preset(
+        partial(_travel_run_time, _published_enola_travel), "per-atom", attrgetter("t2"), True, True
+    ),
 }
 
 
@@ -110,22 +131,8 @@ def _evaluate(
     Raises NonFiniteResult when the hardware numbers take a reported field, or
     a power or quotient on the way, out of the finite floats.
     """
-    travel, idle, coherence, cz_only, exposure = preset or _PRESETS[model]
-    if travel is None:
-        t_cz = gate_duration("cz", spec)
-        s = 2 * trace.move_count
-        gate_stages = 0
-        d_um = 0.0  # a plain running sum, as in ProgramTrace.run_time_us
-        for gate_us, cells in trace.stages:
-            gate_stages += gate_us is not None
-            if cells is not None:
-                d_um += cells * spec.inter_qubit_distance
-        t_total = gate_stages * t_cz + s * spec.aod_transfer_time + _linear_travel(d_um, spec)
-    else:
-        t_total = trace.run_time_us(
-            lambda cells: 2.0 * spec.aod_transfer_time
-            + travel(cells * spec.inter_qubit_distance, spec)
-        )
+    run_time, idle, coherence, cz_only, exposure = preset or _PRESETS[model]
+    t_total = run_time(trace, spec)
     t_coh = coherence(spec)
     if idle == "per-atom":
         factors = []
@@ -194,7 +201,7 @@ def evaluate_enola(
     travel law and must be non-decreasing in the distance. Raises
     CoherenceBudgetExceeded when an atom idles for t2 or longer.
     """
-    preset = _PRESETS[Model.ENOLA]._replace(travel=travel_time)
+    preset = _PRESETS[Model.ENOLA]._replace(run_time=partial(_travel_run_time, travel_time))
     return _evaluate(trace_program(program, spec), spec, Model.ENOLA, preset)
 
 

@@ -4,6 +4,9 @@
 that is not UTF-8, blanks and one-qubit gates on occupied cells of one fixed
 legal hardware file, so every circuit that parses is legal: its outcome must
 be ``parse_program``'s on the same bytes.
+
+``validate --interaction-radius`` is run on drawn legal programs: it must pass
+and print each stage's ``validate_stage`` warnings, stage by stage.
 """
 
 import contextlib
@@ -13,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from na_evalkit import EvalKitError, parse_architecture, parse_program
+from na_evalkit import (
+    EvalKitError, apply_stage, initial_state, parse_architecture, parse_program,
+    serialize_program, validate_stage,
+)
 from na_evalkit.cli import main
 from na_evalkit.errors import MalformedDocument
-from helpers import arch_document
+from helpers import arch_document, random_legal_program
 
 ATOMS = 30  # arch_document() places them on cells 0..29
 HEADER = b"RSQASM 1.0;"
@@ -43,10 +49,10 @@ def arch(tmp_path_factory):
     return path
 
 
-def _validate(circuit, arch) -> tuple[int, str, str]:
+def _validate(circuit, arch, *options) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", str(circuit), str(arch)])
+        code = main(["validate", str(circuit), str(arch), *options])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -94,3 +100,20 @@ def test_a_hardware_file_with_a_bom_or_in_utf16_is_malformed_everywhere(tmp_path
     (tmp_path / "circuit.rsqasm").write_bytes(HEADER + b"\nh q[0];\n")
     outcome = _validate(tmp_path / "circuit.rsqasm", tmp_path / "arch.json")
     assert outcome == (2, "", f"error[MalformedDocument]: {raised.value}\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.floats(min_value=0, allow_nan=False))
+def test_validate_prints_each_stages_radius_warnings_in_order(arch, rng, radius):
+    spec = parse_architecture(arch.read_bytes())
+    program = random_legal_program(rng, spec, max_stages=6)
+    circuit = arch.parent / "radius.rsqasm"
+    circuit.write_text(serialize_program(program))
+    expected, state = [], initial_state(spec)
+    for index, stage in enumerate(program.stages):
+        for warning in validate_stage(state, stage, radius).warnings:
+            expected.append(f"warning: stage {index}: {warning}\n")
+        state = apply_stage(state, stage)
+    ok = f"ok: {len(program.stages)} stage(s), {ATOMS} atom(s)\n"
+    outcome = _validate(circuit, arch, "--interaction-radius", repr(radius))
+    assert outcome == (0, ok, "".join(expected))

@@ -258,10 +258,10 @@ def test_validate_checks_each_stage_once(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("case", ["dense", "table1"])
 def test_legal_golden_stages_never_reach_the_diagnosis(case, monkeypatch, capsys):
-    def diagnosed(occupied, side, stage, *args):
+    def diagnosed(state, stage, *args):
         raise AssertionError(f"a legal stage was diagnosed: {stage!r}")
 
-    monkeypatch.setattr(grid, "_check_stage", diagnosed)
+    monkeypatch.setattr(grid, "validate_stage", diagnosed)
     monkeypatch.chdir(Path(__file__).parent / "golden" / case)
     runs = [["validate", "circuit.rsqasm", "arch.json"], ["normalize", "circuit.rsqasm", "arch.json"]]
     for circuit in ("circuit.rsqasm", "collapsed.rsqasm"):

@@ -43,6 +43,11 @@ def test_empty_body():
     assert circuit.qubit_count == 0 and circuit.ops == ()
 
 
+def test_empty_statements_are_skipped():
+    circuit = parse_flat_qasm("qreg q[2];; h q[0];;;cz q[0],q[1];")
+    assert circuit.gates == (FlatGate("h", (), (0,)), FlatGate("cz", (), (0, 1)))
+
+
 def test_full_header_accepted():
     text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\nh q[0];\ncz q[0], q[1];\n'
     circuit = parse_flat_qasm(text)
