@@ -264,6 +264,9 @@ def whatif_collapse(w: WhatIfInput, spec: ArchitectureSpec) -> WhatIfResult:
     """
     delta_t_move = _linear_travel(w.saved_distance_cells * spec.inter_qubit_distance, spec)
     delta_t_idle = w.n * delta_t_move
+    for name, value in (("delta_t_move_us", delta_t_move), ("delta_t_idle_us", delta_t_idle)):
+        if not math.isfinite(value):  # an overflow, before it reads as a negative idle time
+            raise NonFiniteResult(f"{name} is {value}: the inputs leave the float range")
     t_idle_new = w.old_t_idle_us - delta_t_idle
     if t_idle_new < 0:
         raise InvalidInput(f"collapsing would drive idle time negative ({t_idle_new} us)")

@@ -27,10 +27,10 @@ by their constructors, not dataclasses: tuples of their fields or instructions.
 A gate keeps its angles and cells as tuples, each angle a ``float`` and each
 cell an ``int``, so every record serializes to text that parses back to it.
 
-A stage line in the canonical form that ``serialize_program`` writes takes a
-faster path with the same outcome: one match call (a ``findall``) reads the
-whole line, and the records are built from its groups. Every other line, and
-every error, goes through the general grammar. Within one ``parse_program``
+A stage line that is, without the blanks around it, in the canonical form
+``serialize_program`` writes takes a faster path with the same outcome: one
+``findall`` reads it and its groups build the records. Blanks inside a line,
+and any error, send it to the general grammar. Within one ``parse_program``
 call that path builds each cell ``int``, gate name, one-cell operand tuple
 and one-qubit gate without an angle once, and records equal in value share
 it (the flyweight pattern): records from one parse may be one shared object,
@@ -207,7 +207,7 @@ class Program:
         object.__setattr__(self, "stages", stages)
 
 
-_HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;[ \t]*$", re.ASCII)
+_HEADER_RE = re.compile(r"RSQASM[ \t]+(\d+)\.(\d+)[ \t]*;", re.ASCII)
 
 # One instruction and the blanks after it, its operands as one group. Every part
 # after the name may match empty, so the pattern matches anywhere but at the end
@@ -332,14 +332,13 @@ def _shared() -> tuple:
 
 
 def _canonical_stage(line: str, shared: tuple) -> Stage | None:
-    """The stage of a line in the form serialize_program writes, or None.
+    """The stage of a nonempty line in the form serialize_program writes, or None.
 
-    One findall reads the line. The records are built without their
-    constructors, after checking every rule those check that the pattern does
-    not: a finite angle and distinct cells. Any doubt gives None and leaves the
-    line, and any error in it, to _parse_stage_line. Equal cells, names and
-    one-qubit records are one object across the lines read with one
-    ``shared``, the :func:`_shared` memo of one parse.
+    parse_program passes a stage line without the blanks around it. One findall
+    reads it; the records are built without their constructors once the angles
+    are finite and the cells distinct. Any doubt gives None and leaves the line,
+    and any error in it, to _parse_stage_line. Equal cells, names and one-qubit
+    records are one object across the lines read with one :func:`_shared` memo.
     """
     single, names, by_cell = shared
     new = tuple.__new__
@@ -368,7 +367,7 @@ def _canonical_stage(line: str, shared: tuple) -> Stage | None:
         else:  # the rest of a line that is not canonical
             return None
         cells += operands
-    if not ops or len(set(cells)) != len(cells):
+    if len(set(cells)) != len(cells):
         return None
     return new(Stage, ops)
 
@@ -377,9 +376,9 @@ def parse_program(document: str | bytes | bytearray | memoryview) -> Program:
     """Parse circuit text into a :class:`Program`.
 
     Lines split at LF, dropping the CRs at their end; any other CR is no line
-    break. Bytes-like input must be strict UTF-8. Malformed input raises a
-    subclass of :class:`~na_evalkit.errors.RsqasmError` with line/column
-    information; arbitrary bytes never escape as a non-diagnostic exception.
+    break, and a line is read without the blanks around it. Bytes-like input
+    must be strict UTF-8. Malformed input, arbitrary bytes too, raises a subclass
+    of :class:`~na_evalkit.errors.RsqasmError` with line/column information.
     """
     if isinstance(document, (bytes, bytearray, memoryview)):
         try:
@@ -396,14 +395,13 @@ def parse_program(document: str | bytes | bytearray | memoryview) -> Program:
     shared = _shared()
     line_no = 0
     while lines:
-        raw = lines.pop()
+        line = lines.pop().rstrip("\r")
         line_no += 1
-        line = raw.rstrip("\r")
-        text = line.lstrip(" \t")
+        text = line.strip(" \t")
         if not text or text.startswith("//"):  # a blank or comment line
             continue
         if header is None:
-            m = _HEADER_RE.match(text)
+            m = _HEADER_RE.fullmatch(text)
             if m is None:
                 raise MissingHeader(
                     "expected header of the form 'RSQASM <major>.<minor>;'", line_no, 1
@@ -414,7 +412,7 @@ def parse_program(document: str | bytes | bytearray | memoryview) -> Program:
                 raise UnsupportedVersion("version number has too many digits", line_no, 1) from None
             header = _located(line_no, 1, Program, major, minor)
             continue
-        stages.append(_canonical_stage(line, shared) or _parse_stage_line(line, line_no))
+        stages.append(_canonical_stage(text, shared) or _parse_stage_line(line, line_no))
     if header is None:
         raise MissingHeader("document has no header line")
     return Program(header.version_major, header.version_minor, tuple(stages))

@@ -342,6 +342,19 @@ def test_whatif_guard_exit_two(files, capsys):
     assert "InvalidInput" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("saved, n, field", [
+    ("1e308", "3", "delta_t_move_us"), ("1e300", "100000000000", "delta_t_idle_us"),
+])
+def test_whatif_overflow_exits_two_as_non_finite(files, capsys, saved, n, field):
+    assert main([
+        "whatif", files["arch"], "--old-idle", "1", "--saved-distance", saved,
+        "--moves-before", "1", "--moves-after", "0", "--n", n,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[NonFiniteResult]: {field} is inf: ")
+
+
 @pytest.mark.parametrize("idle, saved", [("-0.0", "0"), ("5", "-0.0"), ("-0", "-0")])
 def test_whatif_prints_no_negative_zero(files, capsys, idle, saved):
     argv = ["whatif", files["arch"], "--old-idle", idle, "--saved-distance", saved,

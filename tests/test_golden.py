@@ -2,9 +2,9 @@
 
 Each directory under ``tests/golden/`` holds one case: ``arch.json`` and
 ``circuit.rsqasm`` as inputs, ``collapsed.rsqasm`` as the circuit that
-``normalize --emit`` writes, and one file per report. ``dense`` also holds
-``validate-radius2.txt``: the warnings and verdict of ``validate`` under an
-interaction radius of 2. The commands run inside the case directory with
+``normalize --emit`` writes, and one file per report; ``compare.*`` set the
+two circuits side by side. ``dense`` also holds ``validate-radius2.txt``: the
+warnings and verdict of ``validate`` under an interaction radius of 2. The commands run inside the case directory with
 relative paths, because reports echo the paths they were given.
 
 The corpus was built once by the seeded generators in ``helpers.py``; to
@@ -37,6 +37,11 @@ def _reports() -> list[tuple[str, list[str]]]:
         ("validate.txt", ["validate", "circuit.rsqasm", "arch.json"]),
         ("normalize.json", ["normalize", "circuit.rsqasm", "arch.json", "--format", "json"]),
     ]
+    for fmt in ("json", "csv"):
+        runs.append((
+            f"compare.{fmt}",
+            ["compare", "circuit.rsqasm", "collapsed.rsqasm", "--arch", "arch.json", "--format", fmt],
+        ))
     for circuit in ("circuit", "collapsed"):
         for model in MODELS:
             for fmt in ("json", "csv"):

@@ -15,7 +15,7 @@ from na_evalkit import (
     parse_program,
     whatif_collapse,
 )
-from na_evalkit.errors import CoherenceBudgetExceeded, InvalidInput
+from na_evalkit.errors import CoherenceBudgetExceeded, InvalidInput, NonFiniteResult
 from na_evalkit.models import Model
 from helpers import all_busy_program, make_spec, random_legal_program
 
@@ -246,6 +246,15 @@ def test_whatif_reads_a_negative_zero_as_zero(table1_spec, idle, saved):
 def test_whatif_rejects_negative_idle(table1_spec):
     with pytest.raises(InvalidInput):
         whatif_collapse(WhatIfInput(10.0, 1.0e6, 10, 5, 30), table1_spec)
+
+
+@pytest.mark.parametrize("saved, n, field", [
+    (1e308, 3, "delta_t_move_us"),  # the saved travel time overflows
+    (1e300, 10**11, "delta_t_idle_us"),  # n times a finite travel time overflows
+])
+def test_whatif_overflow_is_non_finite_not_a_negative_idle_time(table1_spec, saved, n, field):
+    with pytest.raises(NonFiniteResult, match=f"^{field} is inf: the inputs leave the float range$"):
+        whatif_collapse(WhatIfInput(1.0, saved, 1, 0, n), table1_spec)
 
 
 def test_whatif_input_validation():

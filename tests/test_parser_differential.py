@@ -199,6 +199,10 @@ def _mutated_documents(draw):
 @example("RSQASM 1.0;\n\x0c\nh q[0];\n")
 @example("RSQASM 1.0;\n\u3000// c\n")
 @example("RSQASM 1.0;\nh q[0]; // c\u3000\n// c\u3000\n")
+# headers in blanks and tabs: valid, and UnsupportedVersion at line 1, column 1
+@example(" \tRSQASM 1.3;\t \n\th q[0]; \n")
+@example("\tRSQASM 2.0; \t\r\nh q[0];\r\n")
+@example(" RSQASM 2.0 ; \n")
 def test_mutated_documents_give_the_same_outcome(document):
     _assert_same_outcome(document)
 
