@@ -32,7 +32,7 @@ from .arch import ArchitectureSpec, parse_architecture
 from .errors import EvalKitError
 from .evaluator import FidelityBreakdown
 from .models import Model, WhatIfInput, WhatIfResult, evaluate_model, whatif_collapse
-from .rsqasm import Program, parse_program, serialize_program
+from .rsqasm import Gate, Program, parse_program, serialize_program
 
 TOOL = "na-evalkit"
 
@@ -143,7 +143,9 @@ def cmd_validate(args) -> int:
     program, spec = _load_program(args.circuit), _load_arch(args.arch)
     state = grid.initial_state(spec)
     for index, stage in enumerate(program.stages):
-        if radius is not None:  # printed before advance raises, so before main's error line
+        # only a two-qubit gate can carry a warning; each is printed before
+        # advance raises, so before main's error line
+        if radius is not None and any(type(op) is Gate and len(op[2]) == 2 for op in stage):
             for warning in grid.validate_stage(state, stage, radius).warnings:
                 print(f"warning: stage {index}: {warning}", file=sys.stderr)
         grid.advance(state.occupancy, state.side, stage, index)

@@ -45,9 +45,10 @@ Each move is thus searched once, plus once per edit of the stage it waits
 on, instead of one simulation of the whole program per candidate. A search
 for a move whose cells are never referenced again still runs to the end of
 the program, so the pass is quadratic on programs with many such moves.
-Emptied stages stay in place as tombstones until the result is built, so
-positions never shift; each event's stages are converted to positions with
-the empty stages dropped when it is recorded.
+Instructions are read by position, as the grid walk reads them. A removed
+instruction becomes None in its stage, and emptied stages stay in place
+until the result is built, so positions never shift; each event's stages
+are converted to positions with the empty stages dropped when it is recorded.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class NormalizationReport:
         require_finite(self)
 
 
-def _move_stats(stages: list[Sequence[Instruction]], side: int) -> tuple[int, float]:
+def _move_stats(stages: list[Sequence[Instruction | None]], side: int) -> tuple[int, float]:
     """Move count and total distance, each stage's moves summed first and the
     stage sums then added in order, as :func:`evaluator.trace_program` does."""
     count = 0
@@ -92,27 +93,18 @@ def _move_stats(stages: list[Sequence[Instruction]], side: int) -> tuple[int, fl
     for ops in stages:
         stage_distance = 0.0
         for op in ops:
-            if isinstance(op, Move):
+            if type(op) is Move:
                 count += 1
-                stage_distance += grid.cell_distance(op.src, op.dst, side)
+                stage_distance += grid.cell_distance(op[0], op[1], side)
         distance += stage_distance
     return count, distance
 
 
-class _Removed:
-    """Placeholder for a deleted instruction: not a move and touches no cell."""
-
-    cells = ()
-
-
-_REMOVED = _Removed()
-
-
 def _rule(move: Move, partner: Move) -> str:
-    return "R1" if partner.dst == move.src else "R2"
+    return "R1" if partner[1] == move[0] else "R2"
 
 
-def _find_partner(stages: list[Sequence[Instruction]], i: int, a: int, b: int):
+def _find_partner(stages: list[Sequence[Instruction | None]], i: int, a: int, b: int):
     """Where the search for the partner of ``move a->b`` at stage i stops.
 
     Returns (j, partner, clash) for the first later stage j that touches a or
@@ -125,12 +117,13 @@ def _find_partner(stages: list[Sequence[Instruction]], i: int, a: int, b: int):
         partner = None
         clash = False
         for oj, op in enumerate(stages[j]):
-            if isinstance(op, Move) and op.src == b:
-                partner = oj
-            elif a in op.cells or b in op.cells:
-                if not isinstance(op, Move):
-                    return None
-                clash = True
+            if type(op) is Move:
+                if op[0] == b:
+                    partner = oj
+                elif a in op or b in op:
+                    clash = True
+            elif op is not None and (a in op[2] or b in op[2]):
+                return None
         if partner is not None or clash:
             return j, partner, clash
     return None
@@ -141,10 +134,10 @@ class _Pass:
 
     ``work`` starts as the program's own stage tuples; a stage becomes a list
     the first time a commit edits it, so a run with no rewrite copies nothing,
-    and a list marks an edited stage.
+    and a list marks an edited stage. A removed instruction is None there.
     """
 
-    def __init__(self, work: list[Sequence[Instruction]]):
+    def __init__(self, work: list[Sequence[Instruction | None]]):
         self.work = work
         self.events: list[RewriteEvent] = []
         self.dropped: list[int] = []  # sorted indices of emptied stages
@@ -158,7 +151,7 @@ class _Pass:
             # a commit may replace ``ops`` by an edited list; the heap loop
             # below reads each position from ``work`` again
             for oi, op in enumerate(ops):
-                if not isinstance(op, Move):
+                if type(op) is not Move:
                     continue
                 # check this move, then, in program order, the earlier moves
                 # whose search stopped at a stage a commit edits
@@ -168,9 +161,9 @@ class _Pass:
                     s, o = heappop(pending)
                     queued.discard((s, o))
                     move = work[s][o]
-                    if not isinstance(move, Move):  # removed by a commit since it was queued
+                    if move is None:  # removed by a commit since it was queued
                         continue
-                    stop = _find_partner(work, s, move.src, move.dst)
+                    stop = _find_partner(work, s, move[0], move[1])
                     if stop is None:
                         continue
                     j, oj, clash = stop
@@ -185,7 +178,7 @@ class _Pass:
                         continue
                     self._commit(s, o, move, j, oj)
                     revived = waiting.pop(s, []) + waiting.pop(j, [])
-                    if isinstance(work[j][oj], Move) and (j, oj) < limit:
+                    if work[j][oj] is not None and (j, oj) < limit:
                         revived.append((j, oj))  # the merged move of R2
                     for pos in revived:
                         if pos not in queued:
@@ -205,10 +198,10 @@ class _Pass:
         for k in (i, j):
             if type(work[k]) is not list:  # copy a stage on its first edit
                 work[k] = list(work[k])
-        work[i][oi] = _REMOVED
-        work[j][oj] = _REMOVED if rule == "R1" else Move(move.src, partner.dst)
+        work[i][oi] = None
+        work[j][oj] = None if rule == "R1" else Move(move[0], partner[1])
         for k in (i, j):
-            if all(op is _REMOVED for op in work[k]):
+            if all(op is None for op in work[k]):
                 insort(self.dropped, k)
 
     def program(self, original: Program) -> Program:
@@ -218,7 +211,7 @@ class _Pass:
             if type(ops) is not list:  # still the input's own Stage
                 stages.append(ops)
                 continue
-            kept = tuple(op for op in ops if op is not _REMOVED)
+            kept = tuple(op for op in ops if op is not None)
             if kept:
                 stages.append(Stage(kept))
         return Program(original.version_major, original.version_minor, tuple(stages))

@@ -34,7 +34,9 @@ and any error, send it to the general grammar. Within one ``parse_program``
 call that path builds each cell ``int``, gate name, one-cell operand tuple
 and one-qubit gate without an angle once, and records equal in value share
 it (the flyweight pattern): records from one parse may be one shared object,
-so never rely on ``is`` between them. Nothing is kept across calls.
+so never rely on ``is`` between them. A one-qubit record is memoized by the
+operand tuple it holds, not by its cell's digits. Nothing is kept across
+calls.
 ``serialize_program(program, out)`` writes the canonical text to a text
 stream a few stage lines at a time, so it never holds the whole text.
 """
@@ -325,7 +327,8 @@ class _Cells(dict):
 def _shared() -> tuple:
     """The flyweights of one parse: the operand tuples of ``_Cells``; the
     gate names of the pattern's groups, mapped to this module's strings; and
-    for each one-qubit gate name without an angle, its records by cell digits."""
+    for each one-qubit gate name without an angle, its records keyed by the
+    operand tuple each one holds, so that memo keeps no digit string."""
     names = {name: name for name in NATIVE_GATES}
     by_cell = {name: {} for name in NATIVE_GATES - ONE_PARAM_GATES - TWO_QUBIT_GATES}
     return _Cells(), names, by_cell
@@ -346,12 +349,11 @@ def _canonical_stage(line: str, shared: tuple) -> Stage | None:
     cells: list[int] = []
     for two, a2, b2, rot, angle, ar, one, a1, src, dst, rest in _CANONICAL_OP_RE.findall(line):
         if one:
-            gates = by_cell[one]
-            op = gates.get(a1)
+            operands = single[a1]
+            op = by_cell[one].get(operands)
             if op is None:  # built once per name and cell
-                op = gates[a1] = new(Gate, (one, (), single[a1]))
+                op = by_cell[one][operands] = new(Gate, (one, (), operands))
             ops.append(op)
-            operands = op[2]
         elif src:  # src == dst fails the disjointness check below
             operands = (single[src][0], single[dst][0])
             ops.append(new(Move, operands))

@@ -266,11 +266,14 @@ def test_shared_records_equal_the_reference_on_small_grids(stages):
     _assert_shared(got)
 
 
-def _seeded_circuit(rng: random.Random, stages: int) -> list[list[tuple]]:
-    """Stages of (name, angle text or None, cell digits) on 200 cells past the small ints."""
+def _seeded_circuit(
+    rng: random.Random, stages: int, pool: range = range(1000, 1200)
+) -> list[list[tuple]]:
+    """Stages of (name, angle text or None, cell digits) on the cells of ``pool``,
+    by default 200 cells past the small ints."""
     circuit = []
     for _ in range(stages):
-        cells = [str(c) for c in rng.sample(range(1000, 1200), rng.randint(1, 6))]
+        cells = [str(c) for c in rng.sample(pool, rng.randint(1, 6))]
         ops = []
         while cells:
             kind = rng.choice(["h", "s", "t", "h", "rz", "cz", "move"])
@@ -326,3 +329,37 @@ def test_a_parse_retains_much_less_than_the_records_built_one_by_one():
     ratio = _retained_bytes(parse_program, text) / _retained_bytes(_construct, circuit)
     # 0.40 on CPython 3.11 on three seeds; a parse that shares nothing gives 1.04
     assert ratio < 0.5, ratio
+
+
+def test_the_one_qubit_memo_is_keyed_by_the_operands_its_records_hold():
+    circuit = _seeded_circuit(random.Random(31), stages=500, pool=range(1000, 1100))
+    lines = serialize_program(_construct(circuit)).splitlines()[1:]
+    lines += ["h q[01];", "h q[1];"]  # two digit strings, one cell: one record
+    shared = rsqasm._shared()
+    stages = [_canonical_stage(line, shared) for line in lines]
+    assert stages[-2][0] is stages[-1][0]
+    memos = shared[2]
+    assert sum(map(len, memos.values())) > 250
+    for name, records in memos.items():
+        for key, op in records.items():
+            assert type(key) is tuple and key is op[2], (name, key, op)
+            assert op == Gate(name, (), key)
+
+
+def test_a_parse_holds_few_transient_bytes_beyond_what_it_retains():
+    # 2500 distinct cells, as on the benchmark's 50x50 grids: a memo keyed by
+    # each line's digit strings keeps one string per one-qubit gate name and cell
+    circuit = _seeded_circuit(random.Random(25), stages=3000, pool=range(1000, 3500))
+    text = serialize_program(_construct(circuit))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        program = parse_program(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert program.stages
+    ratio = (peak - held) / (held - start)
+    # 0.33 on CPython 3.11 on seeds 1-3 and 25; 0.41 with the memo keyed by digits
+    assert ratio < 0.37, ratio

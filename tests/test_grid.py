@@ -256,6 +256,30 @@ def test_validate_checks_each_stage_once(tmp_path, monkeypatch, capsys):
     assert calls == list(program.stages)
 
 
+def test_validate_diagnoses_only_the_stages_that_hold_a_cz(tmp_path, monkeypatch, capsys):
+    spec = make_spec(side=6, cells=list(range(7)))
+    rng = random.Random(5)
+    program = random_legal_program(rng, spec, max_stages=40, min_stages=30)
+    with_cz = [s for s in program.stages if any(type(op) is Gate and op.name == "cz" for op in s)]
+    assert 0 < len(with_cz) < len(program.stages)
+    circuit = tmp_path / "circuit.rsqasm"
+    circuit.write_text(serialize_program(program))
+    arch = tmp_path / "arch.json"
+    arch.write_text(arch_document(side=6, cells=list(range(7))))
+
+    diagnosed = []
+    original = grid.validate_stage
+
+    def counting(state, stage, *args):
+        diagnosed.append(stage)
+        return original(state, stage, *args)
+
+    monkeypatch.setattr(grid, "validate_stage", counting)
+    assert main(["validate", str(circuit), str(arch), "--interaction-radius", "1e9"]) == 0
+    assert capsys.readouterr().err == ""
+    assert diagnosed == with_cz
+
+
 @pytest.mark.parametrize("case", ["dense", "table1"])
 def test_legal_golden_stages_never_reach_the_diagnosis(case, monkeypatch, capsys):
     def diagnosed(state, stage, *args):
